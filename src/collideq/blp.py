@@ -18,9 +18,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .engine import ModelConfig, embedded_step_channel
+from .engine import ModelConfig, _step_ops, embedded_step_channel
 from .errors import InvalidParameter
-from .tensor import kron_all
 
 _DISTANCE_FLOOR = 1e-14
 _CONVERGENCE_TOL = 1e-6
@@ -68,18 +67,6 @@ def _pair_difference(theta: float, phi: float) -> np.ndarray:
     return np.outer(psi, psi.conj()) - np.outer(perp, perp.conj())
 
 
-def _system_marginal_matrix(n_compound: int) -> np.ndarray:
-    """Matrix taking vec(compound op) to vec(system marginal)."""
-    m = 2 ** (n_compound - 1)
-    d = 2 * m
-    p = np.zeros((4, d * d), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(m):
-                p[2 * i + j, (i * m + k) * d + (j * m + k)] = 1.0
-    return p
-
-
 def _distances(sys_block: np.ndarray) -> np.ndarray:
     """Trace distances from vectorized 2x2 traceless Hermitian differences."""
     a = sys_block[0].real
@@ -113,11 +100,10 @@ def blp_measure(cfg: ModelConfig, n_steps: Optional[int] = None,
     if n_steps < 1:
         raise InvalidParameter("n_steps must be at least 1")
 
-    channel = embedded_step_channel(cfg)
-    superop = channel.superop
-    n_compound = channel.register.n_qubits
-    mem = kron_all(*(cfg.bath_state(b) for b in range(cfg.n_baths)))
-    proj = _system_marginal_matrix(n_compound)
+    superop = embedded_step_channel(cfg).superop
+    core = _step_ops(cfg)
+    mem = core.fresh_state
+    proj = core.system_rows
 
     thetas, phis = _bloch_grid(n_theta, n_phi)
     cols = []

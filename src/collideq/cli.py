@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -79,18 +78,6 @@ _RHO0 = {
     "ground": projector(1),
     "mixed": np.eye(2, dtype=complex) / 2,
 }
-
-
-def _limit_threads():
-    cap = os.environ.get("COLLIDEQ_THREADS")
-    if not cap:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=int(cap))
-    except Exception:
-        pass  # best effort; absence of threadpoolctl just means no cap
 
 
 def _fmt(x) -> str:
@@ -170,6 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# keys a --config file may set (after '-' -> '_' normalization)
+_CONFIG_KEYS = ("beta", "delta", "delta_grid", "delta_units", "dt", "dt_grid", "gamma",
+                "omega", "out", "r", "rho0", "seed", "setting", "steps", "t_final", "traj")
+
+
 class Resolved:
     """Merged configuration: defaults < preset < config file < flags."""
 
@@ -177,6 +169,10 @@ class Resolved:
         self.command = args.command
         preset = PRESETS.get(args.preset, {}) if args.preset else {}
         fileconf = read_config_file(args.config_path) if args.config_path else {}
+        unknown = sorted(set(fileconf) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ValueError(f"unknown config key(s) in {args.config_path}: "
+                             f"{', '.join(unknown)}")
 
         def pick(flag_name, file_key, preset_key, default=None, cast=None):
             val = getattr(args, flag_name, None)
@@ -304,88 +300,59 @@ def _config(res: Resolved, setting: str, beta: float, dt: float, delta: float) -
                        gamma=res.gamma, setting=setting)
 
 
-def _steady_point(cfg: ModelConfig):
-    """(g_e, beta_e, delta_beta, flux, status) of one steady-state cell."""
+_NEGATIVITY_COLUMNS = ["n3", "n2_s_m0", "n2_s_m1", "n2_m0_m1"]
+
+# output columns of the commands that evaluate one steady state per grid cell
+_GRID_COLUMNS = {
+    "steady-state": ["setting", "beta", "dt", "delta", "g_e", "beta_e", "delta_beta",
+                     "heat_flux", "status"],
+    "heat": ["setting", "beta", "dt", "delta", "heat_flux", "status"],
+    "negativity": ["setting", "beta", "dt", "delta", *_NEGATIVITY_COLUMNS, "status"],
+    "sweep": ["beta", "dt", "delta", "delta_beta", "heat_flux", *_NEGATIVITY_COLUMNS,
+              "status"],
+}
+
+
+def _steady_cell(cfg: ModelConfig, negativities: bool) -> Dict[str, object]:
+    """Observables of one steady-state grid cell, keyed by CSV column."""
+    nan = math.nan
+    cell = dict.fromkeys(["g_e", "beta_e", "delta_beta", "heat_flux",
+                          *_NEGATIVITY_COLUMNS], nan)
     try:
         rho_star = steady_state(embedded_step_channel(cfg))
     except NonUniqueSteadyState as err:
-        nan = math.nan
-        return nan, nan, nan, nan, f"nonunique:{err.multiplicity}", None
-    marginal = partial_trace(rho_star, ["S"])
-    est = effective_temperature(marginal, cfg.omega)
-    flux = steady_heat_flux_from_state(cfg, rho_star, bath=0)
-    return est.g_e, est.beta_e, est.beta_e - cfg.beta, flux, "ok", rho_star
+        cell["status"] = f"nonunique:{err.multiplicity}"
+        return cell
+    est = effective_temperature(partial_trace(rho_star, ["S"]), cfg.omega)
+    cell.update(g_e=est.g_e, beta_e=est.beta_e, delta_beta=est.beta_e - cfg.beta,
+                heat_flux=steady_heat_flux_from_state(cfg, rho_star, bath=0), status="ok")
+    if negativities and cfg.setting == "I":
+        cell["n2_s_m0"] = negativity_2(rho_star)
+    elif negativities:
+        pairs = pair_negativities(rho_star)
+        cell.update(n3=tripartite_negativity(rho_star), n2_s_m0=pairs[("S", "M0")],
+                    n2_s_m1=pairs[("S", "M1")], n2_m0_m1=pairs[("M0", "M1")])
+    return cell
 
 
-def cmd_steady_state(res: Resolved) -> Tuple[List[str], List[Sequence]]:
-    columns = ["setting", "beta", "dt", "delta", "g_e", "beta_e", "delta_beta",
-               "heat_flux", "status"]
+def cmd_steady_grid(res: Resolved) -> Tuple[List[str], List[Sequence]]:
+    """``steady-state``, ``heat``, ``negativity`` and ``sweep``: one row per cell."""
+    if res.command == "sweep":
+        if res.settings == ["I", "II"]:
+            res.settings = ["II"]  # sweep is a setting II report unless overridden
+        if res.settings != ["II"]:
+            raise CollideqError("sweep reports setting II observables; pass --setting II")
+    columns = _GRID_COLUMNS[res.command]
+    negativities = "n3" in columns
     rows = []
     for setting in res.settings:
         for beta in res.betas:
             for dt in res.dt_values():
                 for delta in res.delta_values():
                     cfg = _config(res, setting, beta, float(dt), float(delta))
-                    g_e, beta_e, dbeta, flux, status, _ = _steady_point(cfg)
-                    rows.append([setting, beta, dt, delta, g_e, beta_e, dbeta,
-                                 flux, status])
-    return columns, rows
-
-
-def cmd_heat(res: Resolved) -> Tuple[List[str], List[Sequence]]:
-    columns = ["setting", "beta", "dt", "delta", "heat_flux", "status"]
-    rows = []
-    for setting in res.settings:
-        for beta in res.betas:
-            for dt in res.dt_values():
-                for delta in res.delta_values():
-                    cfg = _config(res, setting, beta, float(dt), float(delta))
-                    _, _, _, flux, status, _ = _steady_point(cfg)
-                    rows.append([setting, beta, dt, delta, flux, status])
-    return columns, rows
-
-
-def _negativity_cells(cfg: ModelConfig, rho_star: Optional[DensityMatrix]):
-    nan = math.nan
-    if rho_star is None:
-        return nan, nan, nan, nan
-    if cfg.setting == "I":
-        return nan, negativity_2(rho_star), nan, nan
-    n3 = tripartite_negativity(rho_star)
-    pairs = pair_negativities(rho_star)
-    return (n3, pairs[("S", "M0")], pairs[("S", "M1")], pairs[("M0", "M1")])
-
-
-def cmd_negativity(res: Resolved) -> Tuple[List[str], List[Sequence]]:
-    columns = ["setting", "beta", "dt", "delta", "n3", "n2_s_m0", "n2_s_m1",
-               "n2_m0_m1", "status"]
-    rows = []
-    for setting in res.settings:
-        for beta in res.betas:
-            for dt in res.dt_values():
-                for delta in res.delta_values():
-                    cfg = _config(res, setting, beta, float(dt), float(delta))
-                    *_, status, rho_star = _steady_point(cfg)
-                    n3, ns0, ns1, nmm = _negativity_cells(cfg, rho_star)
-                    rows.append([setting, beta, dt, delta, n3, ns0, ns1, nmm, status])
-    return columns, rows
-
-
-def cmd_sweep(res: Resolved) -> Tuple[List[str], List[Sequence]]:
-    if res.settings == ["I", "II"]:
-        res.settings = ["II"]  # sweep is a setting II report unless overridden
-    if res.settings != ["II"]:
-        raise CollideqError("sweep reports setting II observables; pass --setting II")
-    columns = ["beta", "dt", "delta", "delta_beta", "heat_flux", "n3",
-               "n2_s_m0", "n2_s_m1", "n2_m0_m1", "status"]
-    rows = []
-    for beta in res.betas:
-        for dt in res.dt_values():
-            for delta in res.delta_values():
-                cfg = _config(res, "II", beta, float(dt), float(delta))
-                _, _, dbeta, flux, status, rho_star = _steady_point(cfg)
-                n3, ns0, ns1, nmm = _negativity_cells(cfg, rho_star)
-                rows.append([beta, dt, delta, dbeta, flux, n3, ns0, ns1, nmm, status])
+                    cell = _steady_cell(cfg, negativities)
+                    cell.update(setting=setting, beta=beta, dt=dt, delta=delta)
+                    rows.append([cell[c] for c in columns])
     return columns, rows
 
 
@@ -436,9 +403,12 @@ def cmd_trajectories(res: Resolved) -> Tuple[List[str], List[Sequence]]:
     columns = ["setting", "m", "step", "t", "mean_stoch_heat", "std_error",
                "unconditional_heat", "status"]
     setting = "II" if res.settings == ["I", "II"] else res.settings[0]
-    beta = res.betas[0]
-    dt = float(res.dt_values()[0])
-    delta = float(res.delta_values()[0])
+    grids = {"beta": res.betas, "dt": res.dt_values(), "delta": res.delta_values()}
+    multi = [name for name, values in grids.items() if len(values) > 1]
+    if multi:
+        raise CollideqError(f"trajectories runs one (beta, dt, delta) cell; "
+                            f"got several {' and '.join(multi)} values")
+    beta, dt, delta = (float(values[0]) for values in grids.values())
     n_steps = res.steps or 100
     traj_list = res.traj_list or [1000]
     cfg = _config(res, setting, beta, dt, delta)
@@ -474,27 +444,23 @@ def cmd_limit_scan(res: Resolved) -> Tuple[List[str], List[Sequence]]:
                         rows.append([setting, beta, r, dt, delta_units, delta_rad,
                                      math.nan, math.nan, "delta-out-of-range"])
                         continue
-                    cfg = _config(res, setting, beta, float(dt), delta_rad)
-                    _, _, dbeta, flux, status, _ = _steady_point(cfg)
+                    cell = _steady_cell(_config(res, setting, beta, float(dt), delta_rad),
+                                        negativities=False)
                     rows.append([setting, beta, r, dt, delta_units, delta_rad,
-                                 dbeta, flux, status])
+                                 cell["delta_beta"], cell["heat_flux"], cell["status"]])
     return columns, rows
 
 
 _DISPATCH = {
-    "steady-state": cmd_steady_state,
+    **dict.fromkeys(_GRID_COLUMNS, cmd_steady_grid),
     "dynamics": cmd_dynamics,
-    "heat": cmd_heat,
     "blp": cmd_blp,
-    "negativity": cmd_negativity,
     "trajectories": cmd_trajectories,
-    "sweep": cmd_sweep,
     "limit-scan": cmd_limit_scan,
 }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    _limit_threads()
     args = build_parser().parse_args(argv)
     try:
         res = Resolved(args)

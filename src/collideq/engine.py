@@ -16,20 +16,20 @@ dynamics; steady states are then fixed points of that one-step channel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameter, NonUniqueSteadyState
+from .errors import InvalidParameter, NonUniqueSteadyState, NotDiagonal
 from .metrics import (
     ThermalParams,
     effective_temperature,
     fidelity,
     gibbs_qubit,
 )
-from .errors import NotDiagonal
 from .tensor import (
     EXCITED,
     GROUND,
@@ -41,10 +41,8 @@ from .tensor import (
     HermitianOp,
     QubitRegister,
     UnitaryOp,
-    _ptrace_raw,
     embed,
     expm_i_hermitian,
-    kron,
     kron_all,
     projector,
 )
@@ -172,81 +170,90 @@ def setting2_unitary(cfg: ModelConfig, register: QubitRegister,
     return UnitaryOp(register, expm_i_hermitian(h, cfg.dt))
 
 
-def _qubit_population(mat: np.ndarray, n_qubits: int, pos: int) -> float:
-    """Excited-state population of one qubit of a multi-qubit matrix."""
-    red = _ptrace_raw(mat, n_qubits, [pos])
-    return float(red[0, 0].real)
+def _memory_labels(cfg: ModelConfig) -> list:
+    """Labels of the memory qubits, one per bath."""
+    return ["M"] if cfg.n_baths == 1 else [f"M{b}" for b in range(cfg.n_baths)]
 
 
-def _qubit_energy(mat: np.ndarray, n_qubits: int, pos: int, omega: float) -> float:
-    """Tr[(omega/2) sigma_z rho] for one qubit of a multi-qubit state."""
-    red = _ptrace_raw(mat, n_qubits, [pos])
-    return float(0.5 * omega * (red[0, 0] - red[1, 1]).real)
+def _collision_unitary(cfg: ModelConfig, register: QubitRegister,
+                       memories: Sequence[str]) -> np.ndarray:
+    """System-bath collision of one step on ``register``.
+
+    Setting I: partial SWAP of angle J dt on (S, M). Setting II: the joint
+    exchange on (S, M0, M1).
+    """
+    if cfg.setting == SETTING_I:
+        return partial_swap(cfg.coupling_j * cfg.dt, ("S", *memories), register).mat
+    return setting2_unitary(cfg, register, "S", *memories).mat
 
 
 class _StepOps:
-    """Precomputed operators for one collision step on the embedded compound.
+    """One collision step on the embedded compound, and its linear readouts.
 
     Extended register layout: compound labels first, fresh-ancilla labels
     trailing, one fresh qubit per bath. The engineered full SWAP plus trace
     over the swapped-out qubit is realized as a trace over the memory
     positions (the two compositions are identical maps).
+
+    ``readout`` holds rows on the row-major vec(compound). Rows 0-3 give the
+    system marginal (entries 00, 01, 10, 11). Then, per bath, four energy
+    rows: the memory before the system collision, after it and after the
+    intra collision, and the fresh unit after the intra collision. Each is
+    the Heisenberg-picture operator Tr_F[(1 x fresh) W^dag H W], so a heat is
+    a difference of two readout values on the pre-step compound.
     """
 
     def __init__(self, cfg: ModelConfig):
-        self.cfg = cfg
-        if cfg.setting == SETTING_I:
-            mem = ["M"]
-            fresh = ["F"]
-        else:
-            mem = ["M0", "M1"]
-            fresh = ["F0", "F1"]
-        self.mem_labels = mem
-        self.fresh_labels = fresh
+        mem = _memory_labels(cfg)
+        fresh = ["F" + m[1:] for m in mem]
         self.compound_register = QubitRegister(["S"] + mem)
-        self.ext_register = QubitRegister(["S"] + mem + fresh)
-        self.n_ext = self.ext_register.n_qubits
-        self.mem_positions = [self.ext_register.positions([l])[0] for l in mem]
-        self.fresh_positions = [self.ext_register.positions([l])[0] for l in fresh]
+        ext = self.ext_register = QubitRegister(["S"] + mem + fresh)
+        self.mem_positions = list(ext.positions(mem))
 
-        if cfg.setting == SETTING_I:
-            self.u_coll = partial_swap(cfg.coupling_j * cfg.dt, ("S", "M"),
-                                       self.ext_register).mat
-        else:
-            self.u_coll = setting2_unitary(cfg, self.ext_register, "S", "M0", "M1").mat
-        u_intra = np.eye(self.ext_register.dim, dtype=complex)
-        u_swap = np.eye(self.ext_register.dim, dtype=complex)
+        self.u_coll = _collision_unitary(cfg, ext, mem)
+        u_intra = np.eye(ext.dim, dtype=complex)
         for m, f in zip(mem, fresh):
-            u_intra = u_intra @ intra_bath_unitary(cfg.delta, (m, f), self.ext_register).mat
-            u_swap = u_swap @ embed(SWAP_2, (m, f), self.ext_register)
+            u_intra = u_intra @ intra_bath_unitary(cfg.delta, (m, f), ext).mat
         self.u_intra = u_intra
-        self.u_swap = u_swap
+        self.u_step = u_intra @ self.u_coll
         self.fresh_state = kron_all(*(cfg.bath_state(b) for b in range(cfg.n_baths)))
         self.fresh_energies = np.array([
             float(0.5 * cfg.omega * (cfg.bath_state(b)[0, 0] - cfg.bath_state(b)[1, 1]).real)
             for b in range(cfg.n_baths)
         ])
 
+        d = self.compound_dim
+        f_dim = self.fresh_state.shape[0]
+
+        def row(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+            o = (w.conj().T @ h @ w).reshape(d, f_dim, d, f_dim)
+            return np.einsum("ikjl,lk->ji", o, self.fresh_state).reshape(-1)
+
+        h_qubit = 0.5 * cfg.omega * SIGMA_Z
+        one, u_step = np.eye(ext.dim), self.u_step
+        rows = [np.kron(e, np.eye(d // 2)).reshape(-1) for e in np.eye(4).reshape(4, 2, 2)]
+        for m, f in zip(mem, fresh):
+            h_m, h_f = embed(h_qubit, [m], ext), embed(h_qubit, [f], ext)
+            rows += [row(h_m, one), row(h_m, self.u_coll), row(h_m, u_step), row(h_f, u_step)]
+        self.readout = np.array(rows, dtype=complex)
+
     @property
     def compound_dim(self) -> int:
         return self.compound_register.dim
 
-    def full_step_unitary(self) -> np.ndarray:
-        """SWAP . intra . collision as one extended-space unitary (for checks)."""
-        return self.u_swap @ self.u_intra @ self.u_coll
+    @property
+    def system_rows(self) -> np.ndarray:
+        return self.readout[:4]
 
-    def attach(self, rho_c: np.ndarray) -> np.ndarray:
-        return np.kron(rho_c, self.fresh_state)
+    def heats(self, reads: np.ndarray):
+        """(q_sa, q_intra_out, q_intra_in) per bath from readouts of pre-step compounds.
 
-    def _trace_out_memories(self, rho_ext: np.ndarray) -> np.ndarray:
-        keep = [q for q in range(self.n_ext) if q not in self.mem_positions]
-        return _ptrace_raw(rho_ext, self.n_ext, keep)
-
-    def apply_channel(self, rho_c: np.ndarray) -> np.ndarray:
-        rho = self.attach(rho_c)
-        rho = self.u_coll @ rho @ self.u_coll.conj().T
-        rho = self.u_intra @ rho @ self.u_intra.conj().T
-        return self._trace_out_memories(rho)
+        ``q_intra_in`` is the heat picked up by the fresh unit attached this
+        step, i.e. the incoming intra-collision heat of the *next* step's
+        record. Leading axes of ``reads`` are kept.
+        """
+        e = reads[..., 4:].real.reshape(reads.shape[:-1] + (-1, 4))
+        return e[..., 1] - e[..., 0], e[..., 2] - e[..., 1], e[..., 3] - self.fresh_energies
 
     def apply_channel_batch(self, mats: np.ndarray) -> np.ndarray:
         """Channel applied to a stack of compound-space matrices."""
@@ -254,9 +261,8 @@ class _StepOps:
         d = self.compound_dim
         f = self.fresh_state.shape[0]
         ext = np.einsum("bij,kl->bikjl", mats, self.fresh_state).reshape(b, d * f, d * f)
-        u = self.u_intra @ self.u_coll
-        ext = u @ ext @ u.conj().T
-        t = ext.reshape([b] + [2] * (2 * self.n_ext))
+        ext = self.u_step @ ext @ self.u_step.conj().T
+        t = ext.reshape([b] + [2] * (2 * self.ext_register.n_qubits))
         for offset, q in enumerate(sorted(self.mem_positions)):
             ax = q - offset
             n_cur = (t.ndim - 1) // 2
@@ -264,25 +270,25 @@ class _StepOps:
         return t.reshape(b, d, d)
 
     def step_with_heat(self, rho_c: np.ndarray):
-        """One step returning (next compound, q_sa, q_intra_out, q_intra_in).
+        """One step returning (next compound, q_sa, q_intra_out, q_intra_in)."""
+        q_sa, q_intra_out, q_intra_in = self.heats(self.readout @ rho_c.reshape(-1))
+        return self.apply_channel_batch(rho_c[None])[0], q_sa, q_intra_out, q_intra_in
 
-        ``q_intra_in`` is the heat picked up by the fresh unit attached this
-        step, i.e. the incoming intra-collision heat of the *next* step's
-        record.
-        """
-        n = self.n_ext
-        omega = self.cfg.omega
-        rho = self.attach(rho_c)
-        e_mem_pre = [_qubit_energy(rho, n, p, omega) for p in self.mem_positions]
-        rho = self.u_coll @ rho @ self.u_coll.conj().T
-        e_mem_mid = [_qubit_energy(rho, n, p, omega) for p in self.mem_positions]
-        rho = self.u_intra @ rho @ self.u_intra.conj().T
-        e_mem_post = [_qubit_energy(rho, n, p, omega) for p in self.mem_positions]
-        e_fresh_post = [_qubit_energy(rho, n, p, omega) for p in self.fresh_positions]
-        q_sa = np.array(e_mem_mid) - np.array(e_mem_pre)
-        q_intra_out = np.array(e_mem_post) - np.array(e_mem_mid)
-        q_intra_in = np.array(e_fresh_post) - self.fresh_energies
-        return self._trace_out_memories(rho), q_sa, q_intra_out, q_intra_in
+
+@functools.lru_cache(maxsize=32)
+def _step_ops(cfg: ModelConfig) -> _StepOps:
+    """Collision core of ``cfg``, shared by all callers, so its arrays are read-only."""
+    ops = _StepOps(cfg)
+    for value in vars(ops).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return ops
+
+
+def _bare_step_ops(cfg: ModelConfig) -> _StepOps:
+    if cfg.delta != 0.0:
+        raise InvalidParameter("the bare-system step requires delta = 0")
+    return _step_ops(cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,13 +312,14 @@ def _superop_from_batch(apply_batch, d: int) -> np.ndarray:
     basis = np.zeros((d * d, d, d), dtype=complex)
     idx = np.arange(d * d)
     basis[idx, idx // d, idx % d] = 1.0
-    images = apply_batch(basis)
+    # a few basis matrices at a time keep the extended-space stacks small
+    images = np.concatenate([apply_batch(basis[i:i + 16]) for i in range(0, d * d, 16)])
     return images.reshape(d * d, d * d).T
 
 
 def embedded_step_channel(cfg: ModelConfig) -> StepChannel:
     """One-step channel on the system+memory compound (works for delta = 0 too)."""
-    ops = _StepOps(cfg)
+    ops = _step_ops(cfg)
     superop = _superop_from_batch(ops.apply_channel_batch, ops.compound_dim)
     return StepChannel(
         register=ops.compound_register,
@@ -321,60 +328,27 @@ def embedded_step_channel(cfg: ModelConfig) -> StepChannel:
     )
 
 
-class _MarkovOps:
-    """Fresh-ancilla collision step on the bare system (delta = 0 only)."""
-
-    def __init__(self, cfg: ModelConfig):
-        if cfg.delta != 0.0:
-            raise InvalidParameter("the bare-system step requires delta = 0")
-        self.cfg = cfg
-        if cfg.setting == SETTING_I:
-            self.ancilla_labels = ["A"]
-        else:
-            self.ancilla_labels = ["A0", "A1"]
-        self.register = QubitRegister(["S"])
-        self.ext_register = QubitRegister(["S"] + self.ancilla_labels)
-        self.n_ext = self.ext_register.n_qubits
-        self.anc_positions = [self.ext_register.positions([l])[0] for l in self.ancilla_labels]
-        if cfg.setting == SETTING_I:
-            self.u_coll = partial_swap(cfg.coupling_j * cfg.dt, ("S", "A"),
-                                       self.ext_register).mat
-        else:
-            self.u_coll = setting2_unitary(cfg, self.ext_register, "S", "A0", "A1").mat
-        self.fresh_state = kron_all(*(cfg.bath_state(b) for b in range(cfg.n_baths)))
-
-    def step_with_heat(self, rho_s: np.ndarray):
-        omega = self.cfg.omega
-        rho = np.kron(rho_s, self.fresh_state)
-        e_pre = [_qubit_energy(rho, self.n_ext, p, omega) for p in self.anc_positions]
-        rho = self.u_coll @ rho @ self.u_coll.conj().T
-        e_post = [_qubit_energy(rho, self.n_ext, p, omega) for p in self.anc_positions]
-        reduced = _ptrace_raw(rho, self.n_ext, [0])
-        return reduced, np.array(e_post) - np.array(e_pre)
-
-    def apply_channel_batch(self, mats: np.ndarray) -> np.ndarray:
-        b = mats.shape[0]
-        f = self.fresh_state.shape[0]
-        ext = np.einsum("bij,kl->bikjl", mats, self.fresh_state).reshape(b, 2 * f, 2 * f)
-        ext = self.u_coll @ ext @ self.u_coll.conj().T
-        t = ext.reshape([b, 2, f, 2, f])
-        return np.einsum("bikjk->bij", t)
-
-
 def markovian_step(cfg: ModelConfig, rho_s: DensityMatrix) -> Tuple[DensityMatrix, Tuple[HeatRecord, ...]]:
-    """One fresh-ancilla collision on the bare system, with per-bath heat."""
-    ops = _MarkovOps(cfg)
-    reduced, q_sa = ops.step_with_heat(rho_s.mat)
+    """One fresh-ancilla collision on the bare system, with per-bath heat.
+
+    This is the delta = 0 compound step with a fresh memory attached to the
+    system beforehand and the compound's memory traced out afterwards.
+    """
+    ops = _bare_step_ops(cfg)
+    rho_c, q_sa, _, _ = ops.step_with_heat(np.kron(rho_s.mat, ops.fresh_state))
+    reduced = (ops.system_rows @ rho_c.reshape(-1)).reshape(2, 2)
     records = tuple(HeatRecord(bath=b, q_sa=float(q_sa[b])) for b in range(cfg.n_baths))
     return DensityMatrix(rho_s.register, reduced), records
 
 
 def markovian_channel(cfg: ModelConfig) -> StepChannel:
     """One-collision channel on the system alone (delta = 0)."""
-    ops = _MarkovOps(cfg)
-    superop = _superop_from_batch(ops.apply_channel_batch, 2)
+    ops = _bare_step_ops(cfg)
+    # columns: vec(E_ij x fresh memories) for the four system basis matrices E_ij
+    attach = np.einsum("xij,kl->ikjlx", np.eye(4).reshape(4, 2, 2), ops.fresh_state)
+    superop = ops.system_rows @ embedded_step_channel(cfg).superop @ attach.reshape(-1, 4)
     return StepChannel(
-        register=ops.register,
+        register=QubitRegister(["S"]),
         superop=superop,
         description=f"setting {cfg.setting} markovian, dt={cfg.dt:g}",
     )
@@ -495,41 +469,34 @@ def evolve(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int) -> EvolutionRe
     """
     if n_steps < 1:
         raise InvalidParameter("n_steps must be at least 1")
-    ops = _StepOps(cfg)
-    nb = cfg.n_baths
+    ops = _step_ops(cfg)
+    superop = embedded_step_channel(cfg).superop
     target = gibbs_qubit(cfg.beta, cfg.omega)
-    sys_reg = target.register
 
-    mem_init = kron_all(*(cfg.bath_state(b) for b in range(nb)))
-    rho_c = np.kron(rho0_s.mat, mem_init)
+    # readouts of the compound before every step and after the last one
+    v = np.kron(rho0_s.mat, ops.fresh_state).reshape(-1)
+    reads = np.empty((n_steps + 1, ops.readout.shape[0]), dtype=complex)
+    reads[0] = ops.readout @ v
+    for n in range(n_steps):
+        v = superop @ v
+        reads[n + 1] = ops.readout @ v
 
     times = cfg.dt * np.arange(1, n_steps + 1)
-    states = np.empty((n_steps, 2, 2), dtype=complex)
-    q_sa = np.empty((n_steps, nb))
-    q_intra_in = np.empty((n_steps, nb))
-    q_intra_out = np.empty((n_steps, nb))
+    states = reads[1:, :4].reshape(n_steps, 2, 2)
+    q_sa, q_intra_out, next_q_in = ops.heats(reads[:-1])
+    # the first memory is a fresh unit: no predecessor
+    q_intra_in = np.vstack([np.zeros((1, cfg.n_baths)), next_q_in[:-1]])
     fid = np.empty(n_steps)
     beta_e = np.empty(n_steps)
-
-    pending_intra_in = np.zeros(nb)  # first memory is a fresh unit: no predecessor
-    n_compound = ops.compound_register.n_qubits
     for n in range(n_steps):
-        rho_c, step_q_sa, step_q_out, next_q_in = ops.step_with_heat(rho_c)
-        q_sa[n] = step_q_sa
-        q_intra_out[n] = step_q_out
-        q_intra_in[n] = pending_intra_in
-        pending_intra_in = next_q_in
-        rho_s = _ptrace_raw(rho_c, n_compound, [0])
-        states[n] = rho_s
-        sys_dm = DensityMatrix(sys_reg, rho_s)
+        sys_dm = DensityMatrix(target.register, states[n])
         fid[n] = fidelity(sys_dm, target)
         try:
-            est = effective_temperature(sys_dm, cfg.omega)
-            beta_e[n] = est.beta_e
+            beta_e[n] = effective_temperature(sys_dm, cfg.omega).beta_e
         except NotDiagonal:
             beta_e[n] = math.nan
 
-    final = DensityMatrix(ops.compound_register, rho_c)
+    final = DensityMatrix(ops.compound_register, v.reshape(ops.compound_dim, -1))
     return EvolutionResult(
         times=times, states=states, q_sa=q_sa, q_intra_in=q_intra_in,
         q_intra_out=q_intra_out, fidelity_to_gibbs=fid, beta_e=beta_e,
@@ -540,9 +507,8 @@ def evolve(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int) -> EvolutionRe
 def steady_heat_flux(cfg: ModelConfig, bath: int = 0) -> float:
     """Steady-state heat flux q_sa/dt into one bath's ancilla.
 
-    Evaluated by applying the system-ancilla collision to the extended state
-    built from the compound fixed point and reading the ancilla energy change
-    before anything is traced out.
+    Evaluated as the ancilla energy change across the system-ancilla
+    collision, read off the compound fixed point through the readout rows.
     """
     rho_star = steady_state(embedded_step_channel(cfg))
     return steady_heat_flux_from_state(cfg, rho_star, bath)
@@ -553,10 +519,6 @@ def steady_heat_flux_from_state(cfg: ModelConfig, rho_star: DensityMatrix,
     """Heat flux into ``bath`` given a precomputed compound steady state."""
     if not (0 <= bath < cfg.n_baths):
         raise InvalidParameter(f"bath must index one of {cfg.n_baths} baths")
-    ops = _StepOps(cfg)
-    rho = ops.attach(rho_star.mat)
-    pos = ops.mem_positions[bath]
-    e_pre = _qubit_energy(rho, ops.n_ext, pos, cfg.omega)
-    rho = ops.u_coll @ rho @ ops.u_coll.conj().T
-    e_post = _qubit_energy(rho, ops.n_ext, pos, cfg.omega)
-    return (e_post - e_pre) / cfg.dt
+    ops = _step_ops(cfg)
+    q_sa, _, _ = ops.heats(ops.readout @ rho_star.mat.reshape(-1))
+    return float(q_sa[bath]) / cfg.dt

@@ -27,7 +27,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .engine import SETTING_I, ModelConfig, intra_bath_unitary, partial_swap, setting2_unitary
+from .engine import SETTING_I, ModelConfig, _collision_unitary, _memory_labels, intra_bath_unitary
 from .errors import InvalidParameter, NumericalPositivityError
 from .tensor import (
     EXCITED,
@@ -98,7 +98,6 @@ class _TrajOps:
     """Precomputed collision unitary and measurement Kraus pairs."""
 
     def __init__(self, cfg: ModelConfig):
-        self.cfg = cfg
         intra4 = intra_bath_unitary(
             cfg.delta, ("M", "F"), QubitRegister(["M", "F"])
         ).mat.reshape(2, 2, 2, 2)  # (M_out, F_out, M_in, F_in)
@@ -106,17 +105,14 @@ class _TrajOps:
         def kraus_pair(fresh_index: int, slot_label: str, reg: QubitRegister) -> List[np.ndarray]:
             return [embed(intra4[o, :, :, fresh_index], [slot_label], reg) for o in (0, 1)]
 
+        mem = _memory_labels(cfg)
+        reg = self.window_register = QubitRegister(["S"] + mem)
+        self.u_coll = _collision_unitary(cfg, reg, mem)
         if cfg.setting == SETTING_I:
-            reg = QubitRegister(["S", "M"])
-            self.window_register = reg
-            self.u_coll = partial_swap(cfg.coupling_j * cfg.dt, ("S", "M"), reg).mat
             # first index: birth eigenstate of the fresh unit
             self.kraus_by_birth = [kraus_pair(f, "M", reg) for f in (EXCITED, GROUND)]
             self.p_exc_birth = float(cfg.bath_state(0)[0, 0].real)
         else:
-            reg = QubitRegister(["S", "M0", "M1"])
-            self.window_register = reg
-            self.u_coll = setting2_unitary(cfg, reg, "S", "M0", "M1").mat
             self.kraus_bath = (
                 kraus_pair(GROUND, "M0", reg),   # cold bath units are born ground
                 kraus_pair(EXCITED, "M1", reg),  # hot bath units are born excited

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import collideq
 from collideq.cli import main, read_config_file
 
 HALF_PI = math.pi / 2
@@ -109,6 +111,16 @@ class TestConfigPrecedence:
         _, _, rows = read_rows(out)
         assert all(r["beta"] == "3" for r in rows)
 
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "typo.conf"
+        conf.write_text("bta = 3\n")
+        out = tmp_path / "o.csv"
+        code = run_cli(["steady-state", "--config", str(conf), "--setting", "I",
+                        "--dt", "0.1", "--out", str(out)])
+        assert code == 2
+        assert "bta" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_read_config_rejects_garbage(self, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("not a key value line\n")
@@ -151,6 +163,25 @@ class TestBlpCommand:
         assert rows[0]["status"] == "unconverged"
 
 
+class TestTrajectoriesCommand:
+    @pytest.mark.parametrize("flag, grid", [("--dt-grid", "0.05:0.1:2"),
+                                            ("--delta-grid", "0:0.5:2")])
+    def test_multi_valued_grid_rejected(self, tmp_path, capsys, flag, grid):
+        out = tmp_path / "t.csv"
+        code = run_cli(["trajectories", flag, grid, "--traj", "10", "--steps", "2",
+                        "--out", str(out)])
+        assert code == 2
+        assert "several" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_settings_run_setting_ii(self, tmp_path):
+        out = tmp_path / "t.csv"
+        code = run_cli(["trajectories", "--traj", "10", "--steps", "2", "--out", str(out)])
+        assert code == 0
+        _, _, rows = read_rows(out)
+        assert {r["setting"] for r in rows} == {"II"}
+
+
 class TestLimitScan:
     def test_default_r_values_and_columns(self, tmp_path):
         out = tmp_path / "ls.csv"
@@ -174,10 +205,14 @@ class TestLimitScan:
 class TestEntrypoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "o.csv"
+        # the child imports the same collideq as this process, installed or not
+        src = str(Path(collideq.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "collideq.cli", "steady-state", "--setting", "I",
              "--beta", "1", "--dt", "0.1", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()

@@ -31,6 +31,7 @@ from collideq.tensor import (
     expm_i_hermitian,
     kron,
     kron_all,
+    partial_trace,
     projector,
 )
 
@@ -176,7 +177,7 @@ class TestUnitaries:
 
         for cfg in (cfg_i(delta=0.7), cfg_ii(delta=0.7), cfg_i(beta=math.inf, delta=0.3)):
             ops = _StepOps(cfg)
-            u = ops.full_step_unitary()
+            u = ops.u_intra @ ops.u_coll
             assert np.abs(u @ u.conj().T - np.eye(ops.ext_register.dim)).max() < 1e-10
 
 
@@ -218,6 +219,31 @@ class TestMarkovianStep:
             rho1, _ = markovian_step(c1, rho1)
             rho2, _ = markovian_step(c2, rho2)
             assert np.abs(rho1.mat - rho2.mat).max() < 1e-10
+
+    def test_matches_explicit_bare_collision(self):
+        # oracle built only from the public unitaries: system + fresh
+        # ancillas, one conjugation, ancillas traced out
+        for cfg in (cfg_i(beta=0.7, dt=0.08), cfg_ii(beta=0.7, dt=0.08)):
+            labels = ["S"] + [f"A{b}" for b in range(cfg.n_baths)]
+            reg = QubitRegister(labels)
+            if cfg.setting == "I":
+                u = partial_swap(cfg.coupling_j * cfg.dt, ("S", "A0"), reg).mat
+            else:
+                u = setting2_unitary(cfg, reg, "S", "A0", "A1").mat
+            fresh = kron_all(*(cfg.bath_state(b) for b in range(cfg.n_baths)))
+            rho = sys_dm(np.array([[0.35, 0.2 - 0.1j], [0.2 + 0.1j, 0.65]]))
+            for _ in range(5):
+                before = np.kron(rho.mat, fresh)
+                after = u @ before @ u.conj().T
+                f = fresh.shape[0]
+                expected = np.einsum("ikjk->ij", after.reshape(2, f, 2, f))
+                out, records = markovian_step(cfg, rho)
+                assert np.abs(out.mat - expected).max() < 1e-12
+                for b, rec in enumerate(records):
+                    h = embed(0.5 * cfg.omega * SIGMA_Z, [labels[b + 1]], reg)
+                    q = np.trace(h @ (after - before)).real
+                    assert abs(rec.q_sa - q) < 1e-12
+                rho = out
 
     def test_rejects_nonzero_delta(self):
         with pytest.raises(InvalidParameter):
@@ -347,7 +373,7 @@ class TestEvolve:
             def sys_energy(mat):
                 return 0.5 * omega * (mat[0, 0] - mat[1, 1]).real
 
-            from collideq.engine import _StepOps, _qubit_energy
+            from collideq.engine import _StepOps
 
             ops = _StepOps(cfg)
             e_mem_fresh = ops.fresh_energies.sum()
@@ -362,18 +388,22 @@ class TestEvolve:
     def test_total_energy_bookkeeping(self):
         # dE(system) + dE(memory slots) + lifecycle heat of the retired
         # unit(s) closes to zero at every step
-        from collideq.engine import _StepOps, _qubit_energy
+        from collideq.engine import _StepOps
 
         for cfg in (cfg_i(beta=1.0, dt=0.06, delta=0.7), cfg_ii(beta=0.8, dt=0.06, delta=0.9)):
             ops = _StepOps(cfg)
             nb = cfg.n_baths
             rho_c = np.kron(np.diag([0.7, 0.3]).astype(complex),
                             kron_all(*(cfg.bath_state(b) for b in range(nb))))
-            n_q = ops.compound_register.n_qubits
+            reg = ops.compound_register
+
+            def qubit_energy(mat, label):
+                h = embed(0.5 * cfg.omega * SIGMA_Z, [label], reg)
+                return float(np.trace(h @ mat).real)
 
             def energies(mat):
-                e_s = _qubit_energy(mat, n_q, 0, cfg.omega)
-                e_m = sum(_qubit_energy(mat, n_q, p, cfg.omega) for p in range(1, n_q))
+                e_s = qubit_energy(mat, "S")
+                e_m = sum(qubit_energy(mat, l) for l in reg.labels[1:])
                 return e_s, e_m
 
             pending_in = np.zeros(nb)
@@ -386,6 +416,49 @@ class TestEvolve:
                 assert abs(closure) < 1e-10
                 e_s, e_m = e_s2, e_m2
                 pending_in = q_in_next
+
+    def test_heats_match_explicit_compound_chain(self):
+        # reference built from the public unitaries: attach fresh units,
+        # collide, intra-collide, read every energy, trace the memories out
+        for cfg in (cfg_i(beta=1.0, dt=0.05, delta=0.6), cfg_ii(beta=0.8, dt=0.06, delta=0.9)):
+            nb = cfg.n_baths
+            mem = ["M"] if nb == 1 else ["M0", "M1"]
+            fresh = ["F"] if nb == 1 else ["F0", "F1"]
+            reg = QubitRegister(["S"] + mem + fresh)
+            if nb == 1:
+                u = partial_swap(cfg.coupling_j * cfg.dt, ("S", "M"), reg).mat
+            else:
+                u = setting2_unitary(cfg, reg, "S", "M0", "M1").mat
+            v = np.eye(reg.dim)
+            for m, f in zip(mem, fresh):
+                v = v @ intra_bath_unitary(cfg.delta, (m, f), reg).mat
+            tau = kron_all(*(cfg.bath_state(b) for b in range(nb)))
+            e_born = [0.5 * cfg.omega * (cfg.bath_state(b)[0, 0] - cfg.bath_state(b)[1, 1]).real
+                      for b in range(nb)]
+
+            def energies(mat, labels):
+                return np.array([np.trace(embed(0.5 * cfg.omega * SIGMA_Z, [l], reg) @ mat).real
+                                 for l in labels])
+
+            n = 20
+            rho0 = np.diag([0.8, 0.2]).astype(complex)
+            res = evolve(cfg, sys_dm(rho0), n)
+            rho_c = np.kron(rho0, tau)
+            pending_in = np.zeros(nb)
+            for k in range(n):
+                ext = np.kron(rho_c, tau)
+                e_pre = energies(ext, mem)
+                ext = u @ ext @ u.conj().T
+                e_mid = energies(ext, mem)
+                ext = v @ ext @ v.conj().T
+                e_post = energies(ext, mem)
+                rho_c = partial_trace(DensityMatrix(reg, ext), ["S"] + fresh).mat
+                assert np.abs(res.q_sa[k] - (e_mid - e_pre)).max() < 1e-12
+                assert np.abs(res.q_intra_out[k] - (e_post - e_mid)).max() < 1e-12
+                assert np.abs(res.q_intra_in[k] - pending_in).max() < 1e-12
+                marg = np.einsum("ikjk->ij", rho_c.reshape(2, rho_c.shape[0] // 2, 2, -1))
+                assert np.abs(res.states[k] - marg).max() < 1e-12
+                pending_in = energies(ext, fresh) - e_born
 
     def test_setting2_heats_cancel_at_compound_fixed_point(self):
         from collideq.engine import _StepOps
