@@ -24,7 +24,7 @@ from .engine import (
     steady_heat_flux_from_state,
     steady_state,
 )
-from .errors import CollideqError, NonUniqueSteadyState
+from .errors import CollideqError, InvalidParameter, NonUniqueSteadyState, NumericalPositivityError
 from .metrics import (
     effective_temperature,
     negativity_2,
@@ -72,6 +72,11 @@ PRESETS: Dict[str, Dict] = {
         "rho0": "ground",
     },
 }
+
+# per-command defaults of the dt and delta axes, used when no value, grid
+# or preset pairs set them
+_DEFAULT_DTS = {"limit-scan": (1e-2, 5e-3, 2.5e-3, 1.25e-3)}
+_DEFAULT_DELTAS = {"blp": tuple(np.linspace(0.0, 0.95 * HALF_PI, 20))}
 
 _RHO0 = {
     "excited": projector(0),
@@ -194,6 +199,8 @@ class Resolved:
         self.gamma = pick("gamma", "gamma", "gamma", 1.0, float)
         self.seed = pick("seed", "seed", "seed", 0, int)
         self.steps = pick("steps", "steps", "steps", None, int)
+        if self.steps is not None and self.steps < 1:
+            raise InvalidParameter(f"steps must be at least 1 (got {self.steps})")
         self.t_final = pick("t_final", "t_final", "t_final", None, float)
         self.traj = pick("traj", "traj", "traj", None, int)
         self.rho0_name = pick("rho0", "rho0", "rho0", None)
@@ -231,7 +238,10 @@ class Resolved:
         else:
             self.delta_grid = raw_delta_grid or preset.get("delta_grid")
 
-        self.pairs = preset.get("pairs")
+        # preset (dt, delta) pairs drive dynamics unless a dt or delta is given
+        explicit = (self.dt, self.dt_grid, self.delta, self.delta_grid)
+        self.pairs = (preset.get("pairs") if self.command == "dynamics"
+                      and all(v is None for v in explicit) else None)
         self.traj_list = ([self.traj] if self.traj is not None
                           else preset.get("traj_list"))
 
@@ -256,14 +266,18 @@ class Resolved:
             return np.array([self.dt])
         if self.dt_grid is not None:
             return _grid_values(self.dt_grid)
-        return np.array([0.1])
+        if self.pairs is not None:
+            return np.array([dt for dt, _ in self.pairs])
+        return np.array(_DEFAULT_DTS.get(self.command, (0.1,)))
 
     def delta_values(self) -> np.ndarray:
         if self.delta is not None:
             return np.array([self.delta])
         if self.delta_grid is not None:
             return _grid_values(self.delta_grid)
-        return np.array([0.0])
+        if self.pairs is not None:
+            return np.array([delta for _, delta in self.pairs])
+        return np.array(_DEFAULT_DELTAS.get(self.command, (0.0,)))
 
     def rho0(self, default: str) -> DensityMatrix:
         name = self.rho0_name or default
@@ -280,8 +294,9 @@ class Resolved:
             "seed": str(self.seed),
             "delta_units": self.delta_units,
             "dt_values": ",".join(_fmt(v) for v in self.dt_values()),
-            "delta_values_rad": ",".join(_fmt(v) for v in self.delta_values()),
         }
+        if self.command != "limit-scan":  # limit-scan derives delta from r and dt
+            out["delta_values_rad"] = ",".join(_fmt(v) for v in self.delta_values())
         if self.steps is not None:
             out["steps"] = str(self.steps)
         if self.t_final is not None:
@@ -322,6 +337,9 @@ def _steady_cell(cfg: ModelConfig, negativities: bool) -> Dict[str, object]:
         rho_star = steady_state(embedded_step_channel(cfg))
     except NonUniqueSteadyState as err:
         cell["status"] = f"nonunique:{err.multiplicity}"
+        return cell
+    except NumericalPositivityError:
+        cell["status"] = "nonpositive"
         return cell
     est = effective_temperature(partial_trace(rho_star, ["S"]), cfg.omega)
     cell.update(g_e=est.g_e, beta_e=est.beta_e, delta_beta=est.beta_e - cfg.beta,
@@ -384,13 +402,10 @@ def cmd_blp(res: Resolved) -> Tuple[List[str], List[Sequence]]:
     columns = ["setting", "beta", "dt", "delta", "blp_value", "theta_opt",
                "phi_opt", "status"]
     rows = []
-    deltas = res.delta_values()
-    if res.delta is None and res.delta_grid is None:
-        deltas = np.linspace(0.0, 0.95 * HALF_PI, 20)
     for setting in res.settings:
         for beta in res.betas:
             for dt in res.dt_values():
-                for delta in deltas:
+                for delta in res.delta_values():
                     cfg = _config(res, setting, beta, float(dt), float(delta))
                     out = blp_measure(cfg, n_steps=res.steps)
                     status = "ok" if out.converged else "unconverged"
@@ -428,16 +443,12 @@ def cmd_limit_scan(res: Resolved) -> Tuple[List[str], List[Sequence]]:
     columns = ["setting", "beta", "r", "dt", "delta", "delta_rad", "delta_beta",
                "heat_flux", "status"]
     scale = HALF_PI if res.delta_units == "half-pi" else 1.0
-    if res.dt is not None or res.dt_grid is not None:
-        dts = res.dt_values()
-    else:
-        dts = np.array([1e-2, 5e-3, 2.5e-3, 1.25e-3])
     settings = res.settings if res.settings != ["I", "II"] else ["II"]
     rows = []
     for setting in settings:
         for beta in res.betas:
             for r in res.r_values:
-                for dt in dts:
+                for dt in res.dt_values():
                     delta_units = 1.0 - float(dt) / r
                     delta_rad = delta_units * scale
                     if not (0.0 <= delta_rad < HALF_PI):

@@ -23,7 +23,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameter, NonUniqueSteadyState, NotDiagonal
+from .errors import InvalidParameter, NonUniqueSteadyState, NotDiagonal, NumericalPositivityError
 from .metrics import (
     ThermalParams,
     effective_temperature,
@@ -36,6 +36,7 @@ from .tensor import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    STRUCT_TOL,
     SWAP_2,
     DensityMatrix,
     HermitianOp,
@@ -394,6 +395,8 @@ def steady_state(channel: StepChannel, cross_check: bool = True) -> DensityMatri
     cross-validated against power iteration. The agreement tolerance widens
     from 1e-12 as the spectral gap closes, since the fixed point of the
     floating-point superoperator is itself only conditioned to eps/gap.
+    Raises :class:`NumericalPositivityError` when the fixed point has an
+    eigenvalue below -1e-10.
     """
     superop = channel.superop
     d = channel.dim
@@ -423,6 +426,11 @@ def steady_state(channel: StepChannel, cross_check: bool = True) -> DensityMatri
                 f"eigendecomposition and power iteration disagree by {dev:.2e} "
                 f"(tolerance {tol:.2e} at spectral gap {gap:.2e})"
             )
+    lam_min = np.linalg.eigvalsh(rho).min()
+    if lam_min < -STRUCT_TOL:
+        raise NumericalPositivityError(
+            f"steady state has minimum eigenvalue {lam_min:.3e}, below -1e-10"
+        )
     return DensityMatrix(channel.register, rho)
 
 

@@ -45,4 +45,9 @@ class IntegrationUnstable(CollideqError):
 
 
 class NumericalPositivityError(CollideqError):
-    """Born probabilities fell outside [0, 1] beyond numerical tolerance."""
+    """A computed probability or state lost positivity beyond tolerance.
+
+    Raised when Born probabilities fall outside [0, 1], or when a computed
+    density matrix (such as a steady state) has an eigenvalue below the
+    structural tolerance.
+    """

@@ -3,16 +3,19 @@
 Each auxiliary unit is projectively measured in its energy basis at birth
 (before any interaction) and again after its last interaction, the collision
 with its successor. The outcome difference defines the stochastic heat
-omega * (z_second - z_first) / 2 with z = +1 excited, -1 ground. Conditional
-states are kept as density matrices so mixed initial systems and setting I's
-thermal ancillas are handled uniformly, and whole ensembles propagate as a
-batched stack.
+omega * (z_second - z_first) / 2 with z = +1 excited, -1 ground.
+
+Every unit is born in an energy eigenstate and only meets unitaries and
+projective measurements, so a pure start stays pure: whole ensembles
+propagate as a batched stack of (S, M...) kets. A mixed initial system state
+is unravelled into the eigenstates of rho0, each trajectory starting in one
+of them with probability equal to its eigenvalue.
 
 Per step and bath, the sequence "attach a fresh unit, intra-collide it with
 the outgoing memory, measure the memory, discard it" is applied as a
-two-outcome Kraus pair A_o = <o|_M U_intra |fresh>_F acting on the memory
-slot, which is algebraically identical to forming the enlarged window but
-never leaves the system+memory dimension.
+two-outcome Kraus pair A_o = <o|_M U_intra |birth>_F acting on the memory's
+axis of the ket, which is algebraically identical to forming the enlarged
+window but never leaves the system+memory dimension.
 
 Randomness is counter-based: trajectory k of an ensemble draws from a Philox
 stream keyed by a seed derived from (master_seed, k), and every variate has a
@@ -23,28 +26,22 @@ diagnostics can never shift the sample sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .engine import SETTING_I, ModelConfig, _collision_unitary, _memory_labels, intra_bath_unitary
+from .engine import ModelConfig, _collision_unitary, _memory_labels, intra_bath_unitary
 from .errors import InvalidParameter, NumericalPositivityError
-from .tensor import (
-    EXCITED,
-    GROUND,
-    DensityMatrix,
-    QubitRegister,
-    embed,
-    kron_all,
-    projector,
-)
+from .tensor import EXCITED, GROUND, DensityMatrix, QubitRegister
 
 _CHUNK = 8192
 _PROB_TOL = 1e-10
 
-# variate-table purpose slots
+# variate-table purpose slots; row 0 has no measurement, so its slot 1
+# draws the system's initial eigenstate
 _SLOT_BIRTH = 0
 _SLOT_MEASURE = 1
+_SLOT_EIGEN = 1
 
 
 def trajectory_seed(master_seed: int, index: int) -> int:
@@ -56,10 +53,11 @@ def trajectory_seed(master_seed: int, index: int) -> int:
 def _uniform_tables(seeds, n_steps: int, n_baths: int) -> np.ndarray:
     """Fixed-layout variate tables, shape (B, n_steps+1, n_baths, 2).
 
-    Row 0 holds the birth draws of the very first memories; row n >= 1 holds
-    the birth draw of the unit attached during step n (slot 0) and the
-    second-measurement draw of step n (slot 1). Slots a setting does not
-    consume stay allocated so the layout never shifts.
+    Row 0 holds the birth draws of the very first memories (slot 0) and, at
+    bath 0, the draw of the system's initial eigenstate of rho0 (slot 1);
+    row n >= 1 holds the birth draw of the unit attached during step n
+    (slot 0) and the second-measurement draw of step n (slot 1). Unconsumed
+    slots stay allocated so the layout never shifts.
     """
     out = np.empty((len(seeds), n_steps + 1, n_baths, 2))
     for i, seed in enumerate(seeds):
@@ -95,32 +93,18 @@ class EnsembleStats:
 
 
 class _TrajOps:
-    """Precomputed collision unitary and measurement Kraus pairs."""
+    """Collision unitary, measurement Kraus maps and birth probabilities."""
 
     def __init__(self, cfg: ModelConfig):
+        mem = _memory_labels(cfg)
+        self.u_coll = _collision_unitary(cfg, QubitRegister(["S"] + mem), mem)
         intra4 = intra_bath_unitary(
             cfg.delta, ("M", "F"), QubitRegister(["M", "F"])
         ).mat.reshape(2, 2, 2, 2)  # (M_out, F_out, M_in, F_in)
-
-        def kraus_pair(fresh_index: int, slot_label: str, reg: QubitRegister) -> List[np.ndarray]:
-            return [embed(intra4[o, :, :, fresh_index], [slot_label], reg) for o in (0, 1)]
-
-        mem = _memory_labels(cfg)
-        reg = self.window_register = QubitRegister(["S"] + mem)
-        self.u_coll = _collision_unitary(cfg, reg, mem)
-        if cfg.setting == SETTING_I:
-            # first index: birth eigenstate of the fresh unit
-            self.kraus_by_birth = [kraus_pair(f, "M", reg) for f in (EXCITED, GROUND)]
-            self.p_exc_birth = float(cfg.bath_state(0)[0, 0].real)
-        else:
-            self.kraus_bath = (
-                kraus_pair(GROUND, "M0", reg),   # cold bath units are born ground
-                kraus_pair(EXCITED, "M1", reg),  # hot bath units are born excited
-            )
-
-
-def _conj(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return np.matmul(np.matmul(u, rho), u.conj().T)
+        # kraus[birth, o] = <o|_M U_intra |birth>_F: maps the measured memory's
+        # ket onto its successor's, indexed (F_out, M_in)
+        self.kraus = intra4.transpose(3, 0, 1, 2)
+        self.p_exc = np.array([cfg.bath_state(b)[0, 0].real for b in range(cfg.n_baths)])
 
 
 def _check_probs(p: np.ndarray):
@@ -130,90 +114,52 @@ def _check_probs(p: np.ndarray):
         )
 
 
-def _select_and_collapse(cand_exc, cand_gnd, uniforms):
-    p_exc = np.einsum("bii->b", cand_exc).real
-    p_gnd = np.einsum("bii->b", cand_gnd).real
-    _check_probs(p_exc)
-    _check_probs(p_gnd)
-    outcome = np.where(uniforms < p_exc, EXCITED, GROUND).astype(np.int8)
-    pick = (outcome == EXCITED)
-    chosen = np.where(pick, p_exc, p_gnd)
-    rho = np.where(pick[:, None, None], cand_exc, cand_gnd) / chosen[:, None, None]
-    return rho, outcome
-
-
-def _measure_subchain(rho, kraus_pair, uniforms):
-    """Fresh unit in a fixed eigenstate: one Kraus pair for everyone."""
-    return _select_and_collapse(
-        _conj(kraus_pair[EXCITED], rho), _conj(kraus_pair[GROUND], rho), uniforms
-    )
-
-
-def _measure_subchain_sampled(rho, kraus_by_birth, births, uniforms):
-    """Fresh units in per-trajectory eigenstates (setting I thermal births)."""
-    born_exc = (births == EXCITED)[:, None, None]
-    cand = {
-        o: np.where(
-            born_exc,
-            _conj(kraus_by_birth[EXCITED][o], rho),
-            _conj(kraus_by_birth[GROUND][o], rho),
-        )
-        for o in (EXCITED, GROUND)
-    }
-    return _select_and_collapse(cand[EXCITED], cand[GROUND], uniforms)
-
-
-def _sample_births(uniforms, p_exc: float) -> np.ndarray:
+def _sample(uniforms, p_exc) -> np.ndarray:
+    """Outcome EXCITED where the variate falls below its probability."""
     return np.where(uniforms < p_exc, EXCITED, GROUND).astype(np.int8)
+
+
+def _initial_kets(rho0_s: np.ndarray, births: np.ndarray, uniforms) -> np.ndarray:
+    """Eigenstate of rho0 drawn with its eigenvalue as weight, times born memories."""
+    w, v = np.linalg.eigh(rho0_s)
+    cdf = np.cumsum(np.clip(w, 0.0, None))
+    psi = v.T[np.searchsorted(cdf / cdf[-1], uniforms, side="right")]
+    for born in births.T:
+        psi = np.einsum("b...,bm->b...m", psi, np.eye(2)[born])
+    return psi
 
 
 def _run_batch(cfg: ModelConfig, rho0_s: np.ndarray, n_steps: int, seeds) -> Tuple:
     """Propagate a batch of trajectories; returns (outcomes, heats, finals)."""
     ops = _TrajOps(cfg)
     b = len(seeds)
-    nb = cfg.n_baths
-    omega = cfg.omega
-    tables = _uniform_tables(seeds, n_steps, nb)
+    tables = _uniform_tables(seeds, n_steps, cfg.n_baths)
+    rows = np.arange(b)
 
-    outcomes = np.empty((b, n_steps, nb, 2), dtype=np.int8)
-    heats = np.empty((b, n_steps, nb))
+    births = _sample(tables[:, 0, :, _SLOT_BIRTH], ops.p_exc)
+    psi = _initial_kets(rho0_s, births, tables[:, 0, 0, _SLOT_EIGEN])
+    shape = psi.shape  # (B, S, M...): memory k sits on axis 2 + k
+    outcomes = np.empty((b, n_steps, cfg.n_baths, 2), dtype=np.int8)
+    for n in range(n_steps):
+        # a stacked matmul, unlike one (B, d) @ (d, d) product, rounds each
+        # trajectory the same at every batch size
+        psi = np.matmul(ops.u_coll, psi.reshape(b, -1, 1)).reshape(shape)
+        outcomes[:, n, :, 0] = births
+        births = _sample(tables[:, n + 1, :, _SLOT_BIRTH], ops.p_exc)
+        for k in range(cfg.n_baths):
+            branches = np.einsum("bofm,b...m->bo...f", ops.kraus[births[:, k]],
+                                 np.moveaxis(psi, 2 + k, -1))
+            p = (branches.real ** 2 + branches.imag ** 2).reshape(b, 2, -1).sum(axis=2)
+            _check_probs(p)
+            second = _sample(tables[:, n + 1, k, _SLOT_MEASURE], p[:, EXCITED])
+            outcomes[:, n, k, 1] = second
+            kept = branches[rows, second] / np.sqrt(p[rows, second]).reshape(
+                (b,) + (1,) * (len(shape) - 1))
+            psi = np.moveaxis(kept, -1, 2 + k)
 
-    if cfg.setting == SETTING_I:
-        births = _sample_births(tables[:, 0, 0, _SLOT_BIRTH], ops.p_exc_birth)
-        init_exc = np.kron(rho0_s, projector(EXCITED))
-        init_gnd = np.kron(rho0_s, projector(GROUND))
-        rho = np.where((births == EXCITED)[:, None, None], init_exc[None], init_gnd[None])
-        first_outcome = births
-        for n in range(n_steps):
-            rho = _conj(ops.u_coll, rho)
-            births = _sample_births(tables[:, n + 1, 0, _SLOT_BIRTH], ops.p_exc_birth)
-            rho, second = _measure_subchain_sampled(
-                rho, ops.kraus_by_birth, births, tables[:, n + 1, 0, _SLOT_MEASURE]
-            )
-            outcomes[:, n, 0, 0] = first_outcome
-            outcomes[:, n, 0, 1] = second
-            heats[:, n, 0] = omega * (first_outcome.astype(float) - second)
-            first_outcome = births
-    else:
-        init = kron_all(rho0_s, projector(GROUND), projector(EXCITED))
-        rho = np.broadcast_to(init, (b, 8, 8)).copy()
-        for n in range(n_steps):
-            rho = _conj(ops.u_coll, rho)
-            rho, second0 = _measure_subchain(
-                rho, ops.kraus_bath[0], tables[:, n + 1, 0, _SLOT_MEASURE]
-            )
-            rho, second1 = _measure_subchain(
-                rho, ops.kraus_bath[1], tables[:, n + 1, 1, _SLOT_MEASURE]
-            )
-            outcomes[:, n, 0, 0] = GROUND
-            outcomes[:, n, 0, 1] = second0
-            outcomes[:, n, 1, 0] = EXCITED
-            outcomes[:, n, 1, 1] = second1
-            heats[:, n, 0] = omega * (float(GROUND) - second0)
-            heats[:, n, 1] = omega * (float(EXCITED) - second1)
-
-    w = ops.window_register.dim // 2
-    finals = np.einsum("bikjk->bij", rho.reshape(b, 2, w, 2, w))
+    heats = cfg.omega * (outcomes[..., 0].astype(float) - outcomes[..., 1])
+    psi = psi.reshape(b, 2, -1)
+    finals = np.einsum("bik,bjk->bij", psi, psi.conj())
     return outcomes, heats, finals
 
 
@@ -237,6 +183,8 @@ def ensemble_mean_heat(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int,
     associative over fixed-size chunks, keeping output independent of how
     the work is sliced.
     """
+    if n_steps < 1:
+        raise InvalidParameter("n_steps must be at least 1")
     if n_trajectories < 1:
         raise InvalidParameter("n_trajectories must be at least 1")
     nb = cfg.n_baths

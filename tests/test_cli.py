@@ -46,6 +46,16 @@ class TestSteadyState:
             assert all(v > 0 for v in db)
             assert all(b > a for a, b in zip(db, db[1:]))
 
+    def test_nonpositive_cell_flagged_not_fatal(self, tmp_path):
+        # the dt = 1e-6 fixed point has an eigenvalue below -1e-10
+        out = tmp_path / "ss.csv"
+        code = run_cli(["steady-state", "--setting", "I", "--beta", "50",
+                        "--dt-grid", "1e-6:0.1:3", "--out", str(out)])
+        assert code == 1
+        _, _, rows = read_rows(out)
+        assert [r["status"] for r in rows] == ["nonpositive", "ok", "ok"]
+        assert rows[0]["heat_flux"] == "nan" and rows[0]["beta_e"] == "nan"
+
     def test_small_dt_near_canonical(self, tmp_path):
         out = tmp_path / "ss.csv"
         run_cli(["steady-state", "--setting", "II", "--beta", "2", "--dt", "1e-4",
@@ -81,6 +91,44 @@ class TestDeterminism:
         run_cli(args + ["--out", str(a)])
         run_cli(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+def echoed(header, key):
+    line = next(h for h in header if h.startswith(f"# {key}="))
+    return line.split("=", 1)[1].split(",")
+
+
+def distinct(rows, column):
+    return list(dict.fromkeys(r[column] for r in rows))
+
+
+class TestEcho:
+    @pytest.mark.parametrize("args", [
+        # blp with no delta runs its default delta grid
+        ["blp", "--setting", "II", "--beta", "2", "--dt", "0.1", "--steps", "20"],
+        # limit-scan with no dt runs its default dt halvings
+        ["limit-scan", "--beta", "2", "--r", "5"],
+        # explicit dt and delta replace the preset's (dt, delta) pairs
+        ["dynamics", "--preset", "fig3", "--dt", "0.05", "--delta", "0.3",
+         "--t-final", "0.1"],
+    ], ids=["blp-default-delta", "limit-scan-default-dt", "dynamics-flags-over-pairs"])
+    def test_echo_matches_rows(self, tmp_path, args):
+        out = tmp_path / "o.csv"
+        run_cli(args + ["--out", str(out)])
+        header, _, rows = read_rows(out)
+        assert echoed(header, "dt_values") == distinct(rows, "dt")
+        if args[0] == "limit-scan":  # its deltas follow from r and dt
+            assert not any(h.startswith("# delta_values_rad=") for h in header)
+        else:
+            assert echoed(header, "delta_values_rad") == distinct(rows, "delta")
+
+    @pytest.mark.parametrize("command", ["trajectories", "dynamics"])
+    def test_zero_steps_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "o.csv"
+        code = run_cli([command, "--steps", "0", "--out", str(out)])
+        assert code == 2
+        assert "steps" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigPrecedence:

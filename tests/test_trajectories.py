@@ -3,12 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from collideq.engine import ModelConfig, evolve
+from collideq.engine import (
+    ModelConfig,
+    evolve,
+    intra_bath_unitary,
+    partial_swap,
+    setting2_unitary,
+)
 from collideq.errors import InvalidParameter
-from collideq.tensor import DensityMatrix, QubitRegister, projector
+from collideq.tensor import (
+    EXCITED,
+    GROUND,
+    DensityMatrix,
+    QubitRegister,
+    embed,
+    kron_all,
+    partial_trace,
+    projector,
+)
 from collideq.trajectories import (
     EnsembleStats,
     TrajectoryRecord,
+    _run_batch,
+    _uniform_tables,
     ensemble_mean_heat,
     run_trajectory,
     trajectory_seed,
@@ -23,6 +40,14 @@ def sys_dm(mat):
 
 GROUND_DM = sys_dm(projector(1))
 EXCITED_DM = sys_dm(projector(0))
+MIXED_DM = sys_dm([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+
+# (setting, start) cases of the ensemble-vs-unconditional checks
+ENSEMBLE_CASES = pytest.mark.parametrize(
+    "setting, rho0",
+    [("II", GROUND_DM), ("II", MIXED_DM), ("I", GROUND_DM), ("I", MIXED_DM)],
+    ids=["II-ground", "II-mixed", "I-ground", "I-mixed"],
+)
 
 
 def cfg_ii(beta=1.0, dt=0.01, delta=0.95 * HALF_PI):
@@ -104,6 +129,18 @@ class TestEnsemble:
             manual += rec.heats
         assert np.abs(manual / 8 - stats.mean_heat).max() < 1e-15
 
+    @pytest.mark.parametrize("cfg", [cfg_i(beta=0.5, dt=0.3, delta=0.6),
+                                     cfg_ii(beta=0.5, dt=0.3, delta=0.6)], ids=["I", "II"])
+    def test_member_bit_identical_to_single_run(self, cfg):
+        # batch size must not change a trajectory's rounding
+        seeds = [trajectory_seed(5, k) for k in range(300)]
+        outcomes, heats, finals = _run_batch(cfg, EXCITED_DM.mat, 40, seeds)
+        for k in (0, 149, 299):
+            rec = run_trajectory(cfg, EXCITED_DM, 40, seed=seeds[k])
+            assert np.array_equal(rec.outcomes, outcomes[k])
+            assert np.array_equal(rec.heats, heats[k])
+            assert np.array_equal(rec.final_system_state.mat, finals[k])
+
     def test_ensemble_determinism(self):
         cfg = cfg_ii()
         s1 = ensemble_mean_heat(cfg, GROUND_DM, 20, 50, master_seed=3)
@@ -111,11 +148,12 @@ class TestEnsemble:
         assert np.array_equal(s1.mean_heat, s2.mean_heat)
         assert np.array_equal(s1.std_error, s2.std_error)
 
-    def test_mean_heat_tracks_unconditional(self):
-        cfg = cfg_ii(dt=0.02)
+    @ENSEMBLE_CASES
+    def test_mean_heat_tracks_unconditional(self, setting, rho0):
+        cfg = ModelConfig(beta=1.0, dt=0.02, delta=0.95 * HALF_PI, setting=setting)
         n_steps, m = 40, 3000
-        stats = ensemble_mean_heat(cfg, GROUND_DM, n_steps, m, master_seed=17)
-        oracle = evolve(cfg, GROUND_DM, n_steps)
+        stats = ensemble_mean_heat(cfg, rho0, n_steps, m, master_seed=17)
+        oracle = evolve(cfg, rho0, n_steps)
         dev = np.abs(stats.mean_heat - oracle.q_lifecycle)
         # estimated SE degenerates to 0 on steps where no jump fired in the
         # whole ensemble; floor it with the oracle-implied binomial SE
@@ -124,15 +162,20 @@ class TestEnsemble:
         frac = float((dev <= bound).mean())
         assert frac >= 0.9
 
-    def test_mean_final_state_tracks_unconditional(self):
-        cfg = cfg_ii(dt=0.02)
+    @ENSEMBLE_CASES
+    def test_mean_final_state_tracks_unconditional(self, setting, rho0):
+        cfg = ModelConfig(beta=1.0, dt=0.02, delta=0.95 * HALF_PI, setting=setting)
         n_steps, m = 30, 3000
-        stats = ensemble_mean_heat(cfg, GROUND_DM, n_steps, m, master_seed=23)
-        oracle = evolve(cfg, GROUND_DM, n_steps)
+        stats = ensemble_mean_heat(cfg, rho0, n_steps, m, master_seed=23)
+        oracle = evolve(cfg, rho0, n_steps)
         final = oracle.states[-1]
         dev = np.abs(stats.mean_final_state - final)
         bound = np.maximum(5.0 * stats.se_final_state, 1e-12)
         assert np.all(dev <= bound)
+
+    def test_rejects_zero_steps(self):
+        with pytest.raises(InvalidParameter):
+            ensemble_mean_heat(cfg_ii(), GROUND_DM, 0, 10, master_seed=1)
 
     def test_se_scaling_with_m(self):
         cfg = cfg_ii(dt=0.02)
@@ -147,3 +190,67 @@ class TestEnsemble:
         stats = ensemble_mean_heat(cfg, EXCITED_DM, 20, 200, master_seed=8)
         assert stats.mean_heat.shape == (20, 1)
         assert np.isfinite(stats.mean_heat).all()
+
+
+def explicit_window_outcomes(cfg, rho0, n_steps, seeds):
+    """TPM outcomes of an explicit (S, M..., F) density matrix, one trajectory at a time.
+
+    Each step applies the system collision to the current memories. Then,
+    bath by bath, a fresh unit is attached in the eigenstate its birth
+    variate picks, intra-collides with the memory, the memory is projected
+    on the energy outcome its measurement variate picks and traced out, and
+    the fresh unit becomes that bath's memory. Qubits are addressed by label,
+    never by axis position, and the variates come from the same tables.
+    """
+    nb = cfg.n_baths
+    tables = _uniform_tables(seeds, n_steps, nb)
+    p_exc = [cfg.bath_state(k)[0, 0].real for k in range(nb)]
+
+    def draw(u, p):
+        return EXCITED if u < p else GROUND
+
+    out = np.empty((len(seeds), n_steps, nb, 2), dtype=np.int8)
+    for t, table in enumerate(tables):
+        births = [draw(table[0, k, 0], p_exc[k]) for k in range(nb)]
+        mems = [f"M{k}@0" for k in range(nb)]
+        rho = DensityMatrix(QubitRegister(["S", *mems]),
+                            kron_all(rho0.mat, *(projector(x) for x in births)))
+        for n in range(n_steps):
+            reg = rho.register
+            if cfg.setting == "I":
+                u = partial_swap(cfg.coupling_j * cfg.dt, ("S", mems[0]), reg).mat
+            else:
+                u = setting2_unitary(cfg, reg, "S", *mems).mat
+            rho = DensityMatrix(reg, u @ rho.mat @ u.conj().T)
+            for k in range(nb):
+                out[t, n, k, 0] = births[k]
+                births[k] = draw(table[n + 1, k, 0], p_exc[k])
+                fresh = f"M{k}@{n + 1}"
+                reg = QubitRegister([*rho.register.labels, fresh])
+                u = intra_bath_unitary(cfg.delta, (mems[k], fresh), reg).mat
+                mat = u @ np.kron(rho.mat, projector(births[k])) @ u.conj().T
+                proj_exc = embed(projector(EXCITED), [mems[k]], reg)
+                p = np.trace(proj_exc @ mat).real
+                o = draw(table[n + 1, k, 1], p)
+                keep = proj_exc if o == EXCITED else np.eye(reg.dim) - proj_exc
+                mat = keep @ mat @ keep / (p if o == EXCITED else 1.0 - p)
+                rho = partial_trace(DensityMatrix(reg, mat),
+                                    [label for label in reg.labels if label != mems[k]])
+                mems[k] = fresh
+                out[t, n, k, 1] = o
+    return out
+
+
+@pytest.mark.parametrize("cfg", [
+    ModelConfig(beta=0.5, dt=0.3, delta=0.6, setting="I"),
+    ModelConfig(beta=0.5, dt=0.3, delta=0.6, setting="II"),
+], ids=["I", "II"])
+def test_outcomes_match_explicit_window(cfg):
+    plus_y = sys_dm([[0.5, -0.5j], [0.5j, 0.5]])  # pure, off the energy basis
+    seeds = [trajectory_seed(31, k) for k in range(50)]
+    expected = explicit_window_outcomes(cfg, plus_y, 20, seeds)
+    outcomes, heats, _ = _run_batch(cfg, plus_y.mat, 20, seeds)
+    # the second outcomes branch both ways, so the comparison is not vacuous
+    assert set(np.unique(expected[..., 1])) == {EXCITED, GROUND}
+    assert np.array_equal(outcomes, expected)
+    assert np.array_equal(heats, cfg.omega * (expected[..., 0] - expected[..., 1].astype(float)))
