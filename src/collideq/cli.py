@@ -24,7 +24,13 @@ from .engine import (
     steady_heat_flux_from_state,
     steady_state,
 )
-from .errors import CollideqError, InvalidParameter, NonUniqueSteadyState, NumericalPositivityError
+from .errors import (
+    CollideqError,
+    FixedPointError,
+    InvalidParameter,
+    NonUniqueSteadyState,
+    NumericalPositivityError,
+)
 from .metrics import (
     effective_temperature,
     negativity_2,
@@ -191,6 +197,9 @@ class Resolved:
             return default
 
         self.preset_name = args.preset or ""
+        if "pairs" in preset and self.command != "dynamics":
+            raise CollideqError(f"preset {args.preset} runs (dt, delta) pairs, "
+                                f"which only the dynamics command takes")
         # limit-scan resolves delta from (r, dt); its natural units are half-pi
         default_units = "half-pi" if self.command == "limit-scan" else "rad"
         self.delta_units = pick("delta_units", "delta_units", "delta_units",
@@ -226,6 +235,9 @@ class Resolved:
 
         delta_raw = pick("delta", "delta", None, None, float)
         raw_delta_grid = pick("delta_grid", "delta_grid", None, None)
+        if self.command == "limit-scan" and (delta_raw is not None or raw_delta_grid is not None):
+            raise CollideqError("limit-scan derives delta from r and dt; "
+                                "it takes no --delta or --delta-grid")
         scale = HALF_PI if self.delta_units == "half-pi" else 1.0
         # preset deltas are stored in radians already
         if delta_raw is not None:
@@ -240,8 +252,8 @@ class Resolved:
 
         # preset (dt, delta) pairs drive dynamics unless a dt or delta is given
         explicit = (self.dt, self.dt_grid, self.delta, self.delta_grid)
-        self.pairs = (preset.get("pairs") if self.command == "dynamics"
-                      and all(v is None for v in explicit) else None)
+        self.pairs = (preset.get("pairs") if all(v is None for v in explicit)
+                      else None)
         self.traj_list = ([self.traj] if self.traj is not None
                           else preset.get("traj_list"))
 
@@ -340,6 +352,9 @@ def _steady_cell(cfg: ModelConfig, negativities: bool) -> Dict[str, object]:
         return cell
     except NumericalPositivityError:
         cell["status"] = "nonpositive"
+        return cell
+    except FixedPointError:
+        cell["status"] = "fixed-point-failed"
         return cell
     est = effective_temperature(partial_trace(rho_star, ["S"]), cfg.omega)
     cell.update(g_e=est.g_e, beta_e=est.beta_e, delta_beta=est.beta_e - cfg.beta,

@@ -23,7 +23,13 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameter, NonUniqueSteadyState, NotDiagonal, NumericalPositivityError
+from .errors import (
+    FixedPointError,
+    InvalidParameter,
+    NonUniqueSteadyState,
+    NotDiagonal,
+    NumericalPositivityError,
+)
 from .metrics import (
     ThermalParams,
     effective_temperature,
@@ -261,7 +267,8 @@ class _StepOps:
         b = mats.shape[0]
         d = self.compound_dim
         f = self.fresh_state.shape[0]
-        ext = np.einsum("bij,kl->bikjl", mats, self.fresh_state).reshape(b, d * f, d * f)
+        ext = (mats[:, :, None, :, None] * self.fresh_state[None, None, :, None, :]
+               ).reshape(b, d * f, d * f)
         ext = self.u_step @ ext @ self.u_step.conj().T
         t = ext.reshape([b] + [2] * (2 * self.ext_register.n_qubits))
         for offset, q in enumerate(sorted(self.mem_positions)):
@@ -370,7 +377,7 @@ def _power_fixed_point(superop: np.ndarray, d: int, max_doublings: int = 60) -> 
         w = b @ v
         tr = trace_vec @ w
         if not np.isfinite(tr.real) or abs(tr) < 1e-300:
-            raise ArithmeticError("power iteration lost the trace of the iterate")
+            raise FixedPointError("power iteration lost the trace of the iterate")
         w = w / tr
         if np.abs(w - v).max() < 1e-15:
             v = w
@@ -384,46 +391,52 @@ def _power_fixed_point(superop: np.ndarray, d: int, max_doublings: int = 60) -> 
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     if not np.all(np.isfinite(rho)):
-        raise ArithmeticError("power iteration diverged")
+        raise FixedPointError("power iteration diverged")
     return rho
 
 
 def steady_state(channel: StepChannel, cross_check: bool = True) -> DensityMatrix:
     """Unique fixed point of a trace-preserving one-step channel.
 
-    Computed from the eigenvector of the superoperator at eigenvalue one and
-    cross-validated against power iteration. The agreement tolerance widens
-    from 1e-12 as the spectral gap closes, since the fixed point of the
-    floating-point superoperator is itself only conditioned to eps/gap.
-    Raises :class:`NumericalPositivityError` when the fixed point has an
-    eigenvalue below -1e-10.
+    Computed by a bordered solve, eigvals for the spectrum, and a
+    power-iteration cross-check. ``eigvals`` gives the peripheral count
+    (more than one raises :class:`NonUniqueSteadyState`) and the spectral
+    gap. The fixed point solves ``S - 1`` with its first row replaced by the
+    trace functional and right-hand side ``e_0``; a singular system means no
+    unique unit-trace fixed point. The agreement tolerance with power
+    iteration widens from 1e-12 as the gap closes, since the fixed point of
+    the floating-point superoperator is itself only conditioned to eps/gap.
+    Raises :class:`FixedPointError` when the residual exceeds 1e-12 or the
+    two solutions disagree, and :class:`NumericalPositivityError` when the
+    fixed point has an eigenvalue below -1e-10.
     """
     superop = channel.superop
     d = channel.dim
-    w, v = np.linalg.eig(superop)
-    moduli = np.sort(np.abs(w))[::-1]
-    peripheral = int(np.sum(np.abs(w) > 1.0 - _PERIPHERAL_TOL))
+    moduli = np.sort(np.abs(np.linalg.eigvals(superop)))[::-1]
+    peripheral = int(np.sum(moduli > 1.0 - _PERIPHERAL_TOL))
     if peripheral != 1:
         raise NonUniqueSteadyState(max(peripheral, 2))
-    k = int(np.argmin(np.abs(w - 1.0)))
-    rho = v[:, k].reshape(d, d)
-    tr = np.trace(rho)
-    if abs(tr) < 1e-8:
-        raise NonUniqueSteadyState(2)
-    rho = rho / tr
+    bordered = superop - np.eye(d * d)
+    bordered[0] = np.eye(d).reshape(-1)
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = 1.0
+    try:
+        rho = np.linalg.solve(bordered, rhs).reshape(d, d)
+    except np.linalg.LinAlgError:
+        raise NonUniqueSteadyState(2) from None
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     residual = np.abs(channel.apply(rho) - rho).max()
     if residual > _FIXED_POINT_TOL:
-        raise ArithmeticError(f"fixed-point residual {residual:.2e} exceeds 1e-12")
+        raise FixedPointError(f"fixed-point residual {residual:.2e} exceeds 1e-12")
     if cross_check:
         gap = 1.0 - moduli[1]
         rho_pi = _power_fixed_point(superop, d)
         tol = max(1e-12, 100.0 * np.finfo(float).eps / max(gap, 1e-15))
         dev = np.abs(rho - rho_pi).max()
         if not dev <= tol:  # written so NaN fails too
-            raise ArithmeticError(
-                f"eigendecomposition and power iteration disagree by {dev:.2e} "
+            raise FixedPointError(
+                f"bordered solve and power iteration disagree by {dev:.2e} "
                 f"(tolerance {tol:.2e} at spectral gap {gap:.2e})"
             )
     lam_min = np.linalg.eigvalsh(rho).min()

@@ -40,6 +40,16 @@ class NonUniqueSteadyState(CollideqError):
         )
 
 
+class FixedPointError(CollideqError):
+    """A computed fixed point failed its accuracy checks.
+
+    Raised when the steady state's fixed-point residual exceeds its bound,
+    when the bordered solve and power iteration disagree beyond the
+    gap-scaled tolerance, or when power iteration loses the trace of its
+    iterate or diverges.
+    """
+
+
 class IntegrationUnstable(CollideqError):
     """Trace drift of the master-equation integrator exceeded its bound."""
 

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import collideq
+from collideq import cli
 from collideq.cli import main, read_config_file
+from collideq.engine import StepChannel, steady_state
+from collideq.tensor import QubitRegister
 
 HALF_PI = math.pi / 2
 
@@ -24,6 +27,25 @@ def read_rows(path):
     columns = body[0].split(",")
     rows = [dict(zip(columns, line.split(","))) for line in body[1:]]
     return header, columns, rows
+
+
+def replace_by(state):
+    """Superoperator of the replacement channel rho -> Tr(rho) state."""
+    d = state.shape[0]
+    return np.outer(np.asarray(state, dtype=complex).reshape(-1), np.eye(d).reshape(-1))
+
+
+def break_first_cell(monkeypatch, superop):
+    """Make the CLI solve ``superop`` in place of its first cell's channel."""
+    calls = []
+
+    def solve(channel):
+        calls.append(channel)
+        if len(calls) == 1:
+            channel = StepChannel(QubitRegister(["S"]), superop)
+        return steady_state(channel)
+
+    monkeypatch.setattr(cli, "steady_state", solve)
 
 
 class TestSteadyState:
@@ -46,8 +68,9 @@ class TestSteadyState:
             assert all(v > 0 for v in db)
             assert all(b > a for a, b in zip(db, db[1:]))
 
-    def test_nonpositive_cell_flagged_not_fatal(self, tmp_path):
-        # the dt = 1e-6 fixed point has an eigenvalue below -1e-10
+    def test_nonpositive_cell_flagged_not_fatal(self, tmp_path, monkeypatch):
+        # the dt = 1e-6 cell solves a channel whose fixed point has eigenvalue -0.5
+        break_first_cell(monkeypatch, replace_by(np.diag([1.5, -0.5])))
         out = tmp_path / "ss.csv"
         code = run_cli(["steady-state", "--setting", "I", "--beta", "50",
                         "--dt-grid", "1e-6:0.1:3", "--out", str(out)])
@@ -55,6 +78,28 @@ class TestSteadyState:
         _, _, rows = read_rows(out)
         assert [r["status"] for r in rows] == ["nonpositive", "ok", "ok"]
         assert rows[0]["heat_flux"] == "nan" and rows[0]["beta_e"] == "nan"
+
+    def test_fixed_point_failure_flagged_not_fatal(self, tmp_path, monkeypatch):
+        # eigenvalue-1 vector of trace 1e-10: the fixed-point residual bound fails
+        v = np.array([[5e-11, 1.0], [1.0, 5e-11]], dtype=complex).reshape(-1)
+        w = np.array([1.0, 0.3, 0.2, 1.0])
+        break_first_cell(monkeypatch, np.outer(v, w) / (w @ v))
+        out = tmp_path / "ss.csv"
+        code = run_cli(["heat", "--setting", "II", "--beta", "2",
+                        "--dt-grid", "0.1:0.2:2", "--out", str(out)])
+        assert code == 1
+        _, _, rows = read_rows(out)
+        assert [r["status"] for r in rows] == ["fixed-point-failed", "ok"]
+        assert rows[0]["heat_flux"] == "nan"
+
+    def test_cold_tiny_dt_cell_ok(self, tmp_path):
+        # its fixed point is Gibbs x Gibbs, solved to rounding (see test_engine)
+        out = tmp_path / "ss.csv"
+        code = run_cli(["steady-state", "--setting", "I", "--beta", "50",
+                        "--dt", "1e-6", "--out", str(out)])
+        assert code == 0
+        _, _, rows = read_rows(out)
+        assert rows[0]["status"] == "ok"
 
     def test_small_dt_near_canonical(self, tmp_path):
         out = tmp_path / "ss.csv"
@@ -169,6 +214,14 @@ class TestConfigPrecedence:
         assert "bta" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["steady-state", "blp", "trajectories", "limit-scan"])
+    def test_pairs_preset_rejected_outside_dynamics(self, tmp_path, capsys, command):
+        out = tmp_path / "o.csv"
+        code = run_cli([command, "--preset", "fig3", "--out", str(out)])
+        assert code == 2
+        assert "dynamics" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_read_config_rejects_garbage(self, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("not a key value line\n")
@@ -248,6 +301,15 @@ class TestLimitScan:
         assert code == 1
         _, _, rows = read_rows(out)
         assert rows[0]["status"] == "delta-out-of-range"
+
+    @pytest.mark.parametrize("flag, value", [("--delta", "0.3"), ("--delta-grid", "0:0.5:2")])
+    def test_delta_flags_rejected(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "ls.csv"
+        code = run_cli(["limit-scan", "--beta", "2", "--r", "5", "--dt", "0.01",
+                        flag, value, "--out", str(out)])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEntrypoint:

@@ -7,6 +7,7 @@ from collideq.engine import (
     EvolutionResult,
     HeatRecord,
     ModelConfig,
+    StepChannel,
     embedded_step_channel,
     evolve,
     heisenberg_interaction,
@@ -19,7 +20,12 @@ from collideq.engine import (
     steady_heat_flux_from_state,
     steady_state,
 )
-from collideq.errors import InvalidParameter, NonUniqueSteadyState
+from collideq.errors import (
+    FixedPointError,
+    InvalidParameter,
+    NonUniqueSteadyState,
+    NumericalPositivityError,
+)
 from collideq.lindblad import integrate, thermal_qubit_spec
 from collideq.metrics import effective_temperature, fidelity, gibbs_qubit, nbar
 from collideq.tensor import (
@@ -48,6 +54,12 @@ def cfg_i(beta=2.0, dt=0.01, delta=0.0, gamma=1.0, omega=1.0):
 
 def cfg_ii(beta=2.0, dt=0.01, delta=0.0, gamma=1.0, omega=1.0):
     return ModelConfig(beta=beta, dt=dt, delta=delta, gamma=gamma, omega=omega, setting="II")
+
+
+def replace_by(state):
+    """Superoperator of the replacement channel rho -> Tr(rho) state."""
+    d = state.shape[0]
+    return np.outer(np.asarray(state, dtype=complex).reshape(-1), np.eye(d).reshape(-1))
 
 
 class TestConfig:
@@ -262,6 +274,23 @@ class TestEmbeddedChannel:
                 out = ch.apply(m)
                 assert abs(np.trace(out) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("cfg", [cfg_i(dt=0.1, delta=0.7),
+                                     cfg_ii(beta=0.3, dt=0.3, delta=1.2)], ids=["I", "II"])
+    def test_batch_matches_per_matrix_conjugation(self, cfg):
+        from collideq.engine import _StepOps
+        from collideq.tensor import _ptrace_raw
+
+        ops = _StepOps(cfg)
+        d = ops.compound_dim
+        basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        n = ops.ext_register.n_qubits
+        keep = [q for q in range(n) if q not in ops.mem_positions]
+        for chunk in range(0, d * d, 16):
+            mats = basis[chunk:chunk + 16]
+            ref = [_ptrace_raw(ops.u_step @ np.kron(m, ops.fresh_state) @ ops.u_step.conj().T,
+                               n, keep) for m in mats]
+            assert np.array_equal(ops.apply_channel_batch(mats), np.array(ref))
+
     def test_completely_positive_choi(self):
         for cfg in (cfg_i(delta=0.8), cfg_ii(delta=0.8, dt=0.05)):
             ch = embedded_step_channel(cfg)
@@ -324,8 +353,6 @@ class TestSteadyState:
         assert abs((est.g_e - g) / dt - coef) / coef < 0.01
 
     def test_identity_channel_degenerate(self):
-        from collideq.engine import StepChannel
-
         ch = StepChannel(QubitRegister(["S"]), np.eye(4, dtype=complex), "identity")
         with pytest.raises(NonUniqueSteadyState) as err:
             steady_state(ch)
@@ -337,6 +364,60 @@ class TestSteadyState:
         rho_big = steady_state(embedded_step_channel(cfg))
         marg = np.einsum("ikjk->ij", rho_big.mat.reshape(2, 4, 2, 4))
         assert np.abs(rho_small.mat - marg).max() < 1e-11
+
+    @pytest.mark.parametrize("setting", ["I", "II"])
+    @pytest.mark.parametrize("beta", [0.3, 2.0, math.inf])
+    @pytest.mark.parametrize("dt", [1e-3, 0.1, 0.5])
+    @pytest.mark.parametrize("delta", [0.0, 0.95 * HALF_PI])
+    def test_matches_eig_eigenvector(self, setting, beta, dt, delta):
+        ch = embedded_step_channel(ModelConfig(beta=beta, dt=dt, delta=delta, setting=setting))
+        w, v = np.linalg.eig(ch.superop)
+        k = int(np.argmin(np.abs(w - 1.0)))
+        ref = v[:, k].reshape(ch.dim, ch.dim)
+        ref = ref / np.trace(ref)
+        gap = 1.0 - np.sort(np.abs(w))[-2]
+        tol = max(1e-11, 100 * np.finfo(float).eps / gap)
+        assert np.abs(steady_state(ch).mat - ref).max() < tol
+
+    def test_singular_bordered_system_nonunique(self):
+        # only the 01 coherence survives: eigenvalue 1 is simple but its
+        # eigenvector is traceless, so no unit-trace fixed point exists
+        ch = StepChannel(QubitRegister(["S"]), np.diag([0.5, 1.0, 0.5, 0.5]).astype(complex))
+        with pytest.raises(NonUniqueSteadyState):
+            steady_state(ch)
+
+    def test_nonpositive_fixed_point_raises(self):
+        ch = StepChannel(QubitRegister(["S"]), replace_by(np.diag([1.5, -0.5])))
+        with pytest.raises(NumericalPositivityError, match="-5.000e-01"):
+            steady_state(ch)
+
+    def test_large_residual_raises(self):
+        # eigenvalue-1 vector of trace 1e-10: its unit-trace rescaling is
+        # ~1e10 large and misses the fixed-point residual bound
+        v = np.array([[5e-11, 1.0], [1.0, 5e-11]], dtype=complex).reshape(-1)
+        w = np.array([1.0, 0.3, 0.2, 1.0])
+        ch = StepChannel(QubitRegister(["S"]), np.outer(v, w) / (w @ v))
+        with pytest.raises(FixedPointError, match="residual"):
+            steady_state(ch)
+
+    def test_cross_check_disagreement_raises(self, monkeypatch):
+        import collideq.engine as engine
+
+        monkeypatch.setattr(engine, "_power_fixed_point",
+                            lambda superop, d: np.eye(d, dtype=complex) / d)
+        with pytest.raises(FixedPointError, match="disagree"):
+            steady_state(embedded_step_channel(cfg_ii(beta=2.0, dt=0.1)))
+
+    def test_power_iteration_lost_trace_raises(self):
+        from collideq.engine import _power_fixed_point
+
+        with pytest.raises(FixedPointError, match="trace"):
+            _power_fixed_point(np.zeros((4, 4), dtype=complex), 2)
+
+    def test_cold_tiny_dt_fixed_point_is_gibbs_product(self):
+        rho = steady_state(embedded_step_channel(cfg_i(beta=50.0, dt=1e-6)))
+        g = gibbs_qubit(50.0, 1.0).mat
+        assert np.abs(rho.mat - np.kron(g, g)).max() < 1e-12
 
 
 class TestEvolve:
