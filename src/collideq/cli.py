@@ -10,13 +10,16 @@ every row carries status ``ok``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
-from .blp import blp_measure, default_n_steps
+from .blp import blp_measure
 from .engine import (
     ModelConfig,
     embedded_step_channel,
@@ -45,44 +48,47 @@ HALF_PI = math.pi / 2
 COMMANDS = ("steady-state", "dynamics", "heat", "blp", "negativity",
             "trajectories", "sweep", "limit-scan")
 
-# per-figure parameter bundles (omega = 1, gamma = 1 throughout); delta in radians
+# per-figure parameter bundles (omega = 1, gamma = 1 throughout), keyed by
+# option name; delta in radians
 PRESETS: Dict[str, Dict] = {
     "fig2": {
-        "settings": ["I", "II"],
-        "betas": [0.5, 2.0],
+        "setting": ["I", "II"],
+        "beta": [0.5, 2.0],
         "dt_grid": (0.025, 0.5, 20),
         "delta": 0.0,
     },
     "fig3": {
-        "settings": ["I", "II"],
-        "betas": [2.0],
+        "setting": ["I", "II"],
+        "beta": [2.0],
         "pairs": [(0.01, 0.95 * HALF_PI), (0.01, 0.8 * HALF_PI), (0.001, 0.95 * HALF_PI)],
         "t_final": 8.0,
         "rho0": "excited",
     },
     "fig4": {
-        "settings": ["II"],
-        "betas": [0.5, 2.0],
+        "setting": ["II"],
+        "beta": [0.5, 2.0],
         "dt_grid": (0.025, 0.5, 20),
         "delta_grid": (0.0, 0.95 * HALF_PI, 20),
     },
     "fig5": {
         # collision duration is a free knob of this preset; 0.1 keeps the
         # per-step heat resolvable at the quoted ensemble sizes
-        "settings": ["II"],
-        "betas": [1.0],
+        "setting": ["II"],
+        "beta": [1.0],
         "dt": 0.1,
         "delta": 0.95 * HALF_PI,
         "steps": 100,
-        "traj_list": [10_000, 100_000],
+        "traj": [10_000, 100_000],
         "rho0": "ground",
     },
 }
 
-# per-command defaults of the dt and delta axes, used when no value, grid
-# or preset pairs set them
-_DEFAULT_DTS = {"limit-scan": (1e-2, 5e-3, 2.5e-3, 1.25e-3)}
-_DEFAULT_DELTAS = {"blp": tuple(np.linspace(0.0, 0.95 * HALF_PI, 20))}
+# per-command defaults of the dt and delta axes (key None: every other
+# command), used when no value, grid or preset pairs set them
+_DEFAULT_DTS = {"limit-scan": (1e-2, 5e-3, 2.5e-3, 1.25e-3), None: (0.1,)}
+_DEFAULT_DELTAS = {"blp": tuple(np.linspace(0.0, 0.95 * HALF_PI, 20)), None: (0.0,)}
+
+_SETTING_II_COMMANDS = ("sweep", "trajectories", "limit-scan")  # when no setting is chosen
 
 _RHO0 = {
     "excited": projector(0),
@@ -114,13 +120,10 @@ def write_csv(path: str, command: str, config: Dict, columns: Sequence[str],
 def _parse_grid(text: str) -> Tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"grid must be 'start:stop:count', got {text!r}")
+        raise ValueError("grid must be 'start:stop:count'")
+    if int(parts[2]) < 1:
+        raise ValueError("grid count must be at least 1")
     return float(parts[0]), float(parts[1]), int(parts[2])
-
-
-def _grid_values(spec) -> np.ndarray:
-    start, stop, count = spec
-    return np.linspace(start, stop, count)
 
 
 def read_config_file(path: str) -> Dict[str, str]:
@@ -137,163 +140,172 @@ def read_config_file(path: str) -> Dict[str, str]:
     return out
 
 
+@dataclass(frozen=True)
+class _Option:
+    """One option: the commands that read it and how its text is parsed."""
+
+    commands: FrozenSet[str]
+    cast: Callable[[str], object] = str
+    choices: Optional[Tuple[str, ...]] = None
+    help: Optional[str] = None
+    config: bool = True  # a --config file may set it
+    flag: bool = True  # False: only a preset sets it
+
+    def parse(self, name: str, text: str):
+        try:
+            value = self.cast(text)
+        except ValueError as err:
+            raise ValueError(f"{name}={text!r}: {err}") from None
+        if self.choices and value not in self.choices:
+            raise ValueError(f"{name}={text!r} is not one of {', '.join(self.choices)}")
+        return value
+
+
+_ALL = frozenset(COMMANDS)
+_DELTA_AXIS = _ALL - {"limit-scan"}  # limit-scan derives delta from r and dt
+
+# every option, flag and config key of the CLI; a flag is '--' plus the name
+# with '_' -> '-', and presets are keyed by the same names
+_OPTIONS: Dict[str, _Option] = {
+    "setting": _Option(_ALL, choices=("I", "II")),
+    "beta": _Option(_ALL, float),
+    "omega": _Option(_ALL, float),
+    "gamma": _Option(_ALL, float),
+    "dt": _Option(_ALL, float),
+    "dt_grid": _Option(_ALL, _parse_grid),
+    "delta": _Option(_DELTA_AXIS, float),
+    "delta_grid": _Option(_DELTA_AXIS, _parse_grid),
+    "delta_units": _Option(_ALL, choices=("rad", "half-pi")),
+    "steps": _Option(frozenset({"dynamics", "blp", "trajectories"}), int),
+    "traj": _Option(frozenset({"trajectories"}), int),
+    "seed": _Option(frozenset({"trajectories"}), int),
+    "rho0": _Option(frozenset({"dynamics", "trajectories"}), choices=tuple(sorted(_RHO0))),
+    "t_final": _Option(frozenset({"dynamics"}), float),
+    "r": _Option(frozenset({"limit-scan"}), float, help="limit-scan ratio dt/(1-delta)"),
+    "r_list": _Option(frozenset({"limit-scan"}), lambda s: [float(x) for x in s.split(",")],
+                      help="comma-separated limit-scan ratios", config=False),
+    "preset": _Option(_ALL, choices=tuple(sorted(PRESETS)), config=False),
+    "config": _Option(_ALL, config=False),
+    "out": _Option(_ALL),
+    "pairs": _Option(frozenset({"dynamics"}), config=False, flag=False),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collideq",
         description="multi-bath collision model experiments (CSV output)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--setting", choices=["I", "II"])
-        p.add_argument("--beta", type=float)
-        p.add_argument("--omega", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--dt-grid", dest="dt_grid")
-        p.add_argument("--delta", type=float)
-        p.add_argument("--delta-grid", dest="delta_grid")
-        p.add_argument("--steps", type=int)
-        p.add_argument("--traj", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--preset", choices=sorted(PRESETS))
-        p.add_argument("--config", dest="config_path")
-        p.add_argument("--out", required=False)
-        p.add_argument("--delta-units", dest="delta_units", choices=["rad", "half-pi"])
-        p.add_argument("--rho0", choices=sorted(_RHO0))
-        p.add_argument("--r", type=float, help="limit-scan ratio dt/(1-delta)")
-        p.add_argument("--r-list", dest="r_list",
-                       help="comma-separated limit-scan ratios")
-        p.add_argument("--t-final", dest="t_final", type=float)
+    for command in COMMANDS:
+        p = sub.add_parser(command)
+        for name, opt in _OPTIONS.items():
+            if opt.flag:
+                # a flag the command does not read parses, is hidden and is rejected
+                p.add_argument(_flag(name), dest=name, choices=opt.choices,
+                               help=opt.help if command in opt.commands else argparse.SUPPRESS)
     return parser
 
 
-# keys a --config file may set (after '-' -> '_' normalization)
-_CONFIG_KEYS = ("beta", "delta", "delta_grid", "delta_units", "dt", "dt_grid", "gamma",
-                "omega", "out", "r", "rho0", "seed", "setting", "steps", "t_final", "traj")
+def _as_list(value) -> list:
+    return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
 class Resolved:
-    """Merged configuration: defaults < preset < config file < flags."""
+    """Merged configuration: defaults < preset < config file < flags.
+
+    An option the command does not read is rejected, whether a flag, a
+    config key or a preset key sets it.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.command = args.command
-        preset = PRESETS.get(args.preset, {}) if args.preset else {}
-        fileconf = read_config_file(args.config_path) if args.config_path else {}
-        unknown = sorted(set(fileconf) - set(_CONFIG_KEYS))
-        if unknown:
-            raise ValueError(f"unknown config key(s) in {args.config_path}: "
-                             f"{', '.join(unknown)}")
-
-        def pick(flag_name, file_key, preset_key, default=None, cast=None):
-            val = getattr(args, flag_name, None)
-            if val is not None:
-                return val
-            if file_key in fileconf:
-                raw = fileconf[file_key]
-                return cast(raw) if cast else raw
-            if preset_key in preset:
-                return preset[preset_key]
-            return default
-
         self.preset_name = args.preset or ""
-        if "pairs" in preset and self.command != "dynamics":
-            raise CollideqError(f"preset {args.preset} runs (dt, delta) pairs, "
-                                f"which only the dynamics command takes")
+        preset = PRESETS.get(self.preset_name, {})
+        fileconf = read_config_file(args.config) if args.config else {}
+        flags = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
+
+        def unread(names, config=False):
+            return [n for n in names if n not in _OPTIONS or config and not _OPTIONS[n].config
+                    or self.command not in _OPTIONS[n].commands]
+
+        groups = (("", [_flag(n) for n in unread(flags)]),
+                  (f"config key(s) in {args.config}: ", unread(fileconf, config=True)),
+                  (f"preset {self.preset_name}'s ", unread(preset)))
+        rejected = [head + ", ".join(names) for head, names in groups if names]
+        if rejected:
+            msg = f"{self.command} takes no {'; '.join(rejected)}"
+            if unread(preset):
+                takers = [c for c in COMMANDS if all(c in _OPTIONS[k].commands for k in preset)]
+                msg += f"; preset {self.preset_name} is taken by {', '.join(takers)}"
+            raise CollideqError(msg)
+
+        given = {name: _OPTIONS[name].parse(name, text)
+                 for name, text in {**fileconf, **flags}.items()}
+        values = {**preset, **given}
         # limit-scan resolves delta from (r, dt); its natural units are half-pi
-        default_units = "half-pi" if self.command == "limit-scan" else "rad"
-        self.delta_units = pick("delta_units", "delta_units", "delta_units",
-                                default_units)
-        self.omega = pick("omega", "omega", "omega", 1.0, float)
-        self.gamma = pick("gamma", "gamma", "gamma", 1.0, float)
-        self.seed = pick("seed", "seed", "seed", 0, int)
-        self.steps = pick("steps", "steps", "steps", None, int)
+        self.delta_units = values.get("delta_units",
+                                      "half-pi" if self.command == "limit-scan" else "rad")
+        # flag and config deltas are in delta_units, preset deltas in radians
+        scale = HALF_PI if self.delta_units == "half-pi" else 1.0
+        if "delta" in given:
+            values["delta"] = given["delta"] * scale
+        if "delta_grid" in given:
+            a, b, n = given["delta_grid"]
+            values["delta_grid"] = (a * scale, b * scale, n)
+
+        self.omega = values.get("omega", 1.0)
+        self.gamma = values.get("gamma", 1.0)
+        self.seed = values.get("seed", 0)
+        self.steps = values.get("steps")
         if self.steps is not None and self.steps < 1:
             raise InvalidParameter(f"steps must be at least 1 (got {self.steps})")
-        self.t_final = pick("t_final", "t_final", "t_final", None, float)
-        self.traj = pick("traj", "traj", "traj", None, int)
-        self.rho0_name = pick("rho0", "rho0", "rho0", None)
-
-        if args.setting is not None:
-            self.settings = [args.setting]
-        elif "setting" in fileconf:
-            self.settings = [fileconf["setting"]]
-        else:
-            self.settings = list(preset.get("settings", ["I", "II"]))
-
-        if args.beta is not None:
-            self.betas = [args.beta]
-        elif "beta" in fileconf:
-            self.betas = [float(fileconf["beta"])]
-        else:
-            self.betas = list(preset.get("betas", [1.0]))
-
-        self.dt = pick("dt", "dt", "dt", None, float)
-        raw_dt_grid = pick("dt_grid", "dt_grid", None, None)
-        self.dt_grid = _parse_grid(raw_dt_grid) if isinstance(raw_dt_grid, str) \
-            else (raw_dt_grid or preset.get("dt_grid"))
-
-        delta_raw = pick("delta", "delta", None, None, float)
-        raw_delta_grid = pick("delta_grid", "delta_grid", None, None)
-        if self.command == "limit-scan" and (delta_raw is not None or raw_delta_grid is not None):
-            raise CollideqError("limit-scan derives delta from r and dt; "
-                                "it takes no --delta or --delta-grid")
-        scale = HALF_PI if self.delta_units == "half-pi" else 1.0
-        # preset deltas are stored in radians already
-        if delta_raw is not None:
-            self.delta = delta_raw * scale
-        else:
-            self.delta = preset.get("delta")
-        if isinstance(raw_delta_grid, str):
-            a, b, n = _parse_grid(raw_delta_grid)
-            self.delta_grid = (a * scale, b * scale, n)
-        else:
-            self.delta_grid = raw_delta_grid or preset.get("delta_grid")
-
+        self.t_final = values.get("t_final")
+        self.traj_list = _as_list(values["traj"]) if "traj" in values else None
+        self.rho0_name = values.get("rho0")
+        self.settings = _as_list(values.get("setting", ["I", "II"]))
+        if self.command in _SETTING_II_COMMANDS and self.settings == ["I", "II"]:
+            self.settings = ["II"]
+        if self.command == "sweep" and self.settings != ["II"]:
+            raise CollideqError("sweep reports setting II observables; pass --setting II")
+        self.betas = _as_list(values.get("beta", [1.0]))
         # preset (dt, delta) pairs drive dynamics unless a dt or delta is given
-        explicit = (self.dt, self.dt_grid, self.delta, self.delta_grid)
-        self.pairs = (preset.get("pairs") if all(v is None for v in explicit)
-                      else None)
-        self.traj_list = ([self.traj] if self.traj is not None
-                          else preset.get("traj_list"))
+        explicit = {"dt", "dt_grid", "delta", "delta_grid"} & set(values)
+        self.pairs = None if explicit else values.get("pairs")
+        self.dt_values = self._axis(values, "dt", 0, _DEFAULT_DTS)
+        self.delta_values = self._axis(values, "delta", 1, _DEFAULT_DELTAS)
+        # --r beats --r-list, which beats a config file's r
+        r_list = [values["r"]] if "r" in flags else values.get("r_list")
+        self.r_values = r_list or ([values["r"]] if "r" in values else [5.0, 0.1])
+        if any(r <= 0 for r in self.r_values):
+            raise InvalidParameter(f"limit-scan ratios must be positive (got {self.r_values})")
+        self.out = values.get("out", f"collideq_{self.command}.csv")
 
-        if args.r is not None:
-            self.r_values = [args.r]
-        elif args.r_list:
-            self.r_values = [float(x) for x in args.r_list.split(",")]
-        elif "r" in fileconf:
-            self.r_values = [float(fileconf["r"])]
-        else:
-            self.r_values = [5.0, 0.1]
-
-        if args.out is not None:
-            self.out = args.out
-        elif "out" in fileconf:
-            self.out = fileconf["out"]
-        else:
-            self.out = f"collideq_{self.command}.csv"
-
-    def dt_values(self) -> np.ndarray:
-        if self.dt is not None:
-            return np.array([self.dt])
-        if self.dt_grid is not None:
-            return _grid_values(self.dt_grid)
+    def _axis(self, values: Dict, name: str, index: int, defaults: Dict) -> np.ndarray:
+        """The values of the dt or delta axis: one value, a grid, the preset
+        pairs' entry ``index`` or the command default, in that order."""
+        if name in values:
+            return np.array([values[name]])
+        if name + "_grid" in values:
+            return np.linspace(*values[name + "_grid"])
         if self.pairs is not None:
-            return np.array([dt for dt, _ in self.pairs])
-        return np.array(_DEFAULT_DTS.get(self.command, (0.1,)))
+            return np.array([pair[index] for pair in self.pairs])
+        return np.array(defaults.get(self.command, defaults[None]))
 
-    def delta_values(self) -> np.ndarray:
-        if self.delta is not None:
-            return np.array([self.delta])
-        if self.delta_grid is not None:
-            return _grid_values(self.delta_grid)
-        if self.pairs is not None:
-            return np.array([delta for _, delta in self.pairs])
-        return np.array(_DEFAULT_DELTAS.get(self.command, (0.0,)))
+    def cells(self) -> Iterator[Tuple[str, float, float, float]]:
+        """``(setting, beta, dt, delta)`` of every cell, in row order: the
+        preset pairs if there are any, else every dt x delta combination."""
+        pairs = self.pairs or [(dt, delta) for dt in self.dt_values
+                               for delta in self.delta_values]
+        for setting, beta, (dt, delta) in itertools.product(self.settings, self.betas, pairs):
+            yield setting, beta, float(dt), float(delta)
 
     def rho0(self, default: str) -> DensityMatrix:
-        name = self.rho0_name or default
-        return DensityMatrix(QubitRegister(["S"]), _RHO0[name])
+        return DensityMatrix(QubitRegister(["S"]), _RHO0[self.rho0_name or default])
 
     def echo(self) -> Dict[str, str]:
         out = {
@@ -305,20 +317,15 @@ class Resolved:
             "gamma": _fmt(self.gamma),
             "seed": str(self.seed),
             "delta_units": self.delta_units,
-            "dt_values": ",".join(_fmt(v) for v in self.dt_values()),
+            "dt_values": ",".join(_fmt(v) for v in self.dt_values),
         }
-        if self.command != "limit-scan":  # limit-scan derives delta from r and dt
-            out["delta_values_rad"] = ",".join(_fmt(v) for v in self.delta_values())
-        if self.steps is not None:
-            out["steps"] = str(self.steps)
-        if self.t_final is not None:
-            out["t_final"] = _fmt(self.t_final)
-        if self.traj_list:
-            out["traj"] = ",".join(str(m) for m in self.traj_list)
-        if self.rho0_name:
-            out["rho0"] = self.rho0_name
-        if self.command == "limit-scan":
-            out["r_values"] = ",".join(_fmt(r) for r in self.r_values)
+        if self.command in _DELTA_AXIS:
+            out["delta_values_rad"] = ",".join(_fmt(v) for v in self.delta_values)
+        optional = {"steps": self.steps, "t_final": self.t_final, "traj": self.traj_list,
+                    "rho0": self.rho0_name,
+                    "r_values": self.r_values if self.command == "limit-scan" else None}
+        out.update((key, ",".join(_fmt(v) for v in _as_list(value)))
+                   for key, value in optional.items() if value is not None)
         return out
 
 
@@ -370,46 +377,29 @@ def _steady_cell(cfg: ModelConfig, negativities: bool) -> Dict[str, object]:
 
 def cmd_steady_grid(res: Resolved) -> Tuple[List[str], List[Sequence]]:
     """``steady-state``, ``heat``, ``negativity`` and ``sweep``: one row per cell."""
-    if res.command == "sweep":
-        if res.settings == ["I", "II"]:
-            res.settings = ["II"]  # sweep is a setting II report unless overridden
-        if res.settings != ["II"]:
-            raise CollideqError("sweep reports setting II observables; pass --setting II")
     columns = _GRID_COLUMNS[res.command]
     negativities = "n3" in columns
     rows = []
-    for setting in res.settings:
-        for beta in res.betas:
-            for dt in res.dt_values():
-                for delta in res.delta_values():
-                    cfg = _config(res, setting, beta, float(dt), float(delta))
-                    cell = _steady_cell(cfg, negativities)
-                    cell.update(setting=setting, beta=beta, dt=dt, delta=delta)
-                    rows.append([cell[c] for c in columns])
+    for setting, beta, dt, delta in res.cells():
+        cell = _steady_cell(_config(res, setting, beta, dt, delta), negativities)
+        cell.update(setting=setting, beta=beta, dt=dt, delta=delta)
+        rows.append([cell[c] for c in columns])
     return columns, rows
 
 
 def cmd_dynamics(res: Resolved) -> Tuple[List[str], List[Sequence]]:
     columns = ["setting", "beta", "dt", "delta", "step", "t", "one_minus_f",
                "beta_e", "status"]
-    if res.pairs is not None:
-        pairs = res.pairs
-    else:
-        pairs = [(float(dt), float(delta))
-                 for dt in res.dt_values() for delta in res.delta_values()]
     rho0 = res.rho0("excited")
     t_final = res.t_final if res.t_final is not None else 8.0
     rows = []
-    for setting in res.settings:
-        for beta in res.betas:
-            for dt, delta in pairs:
-                cfg = _config(res, setting, beta, dt, delta)
-                n_steps = res.steps or max(1, int(math.ceil(t_final / dt)))
-                result = evolve(cfg, rho0, n_steps)
-                for k in range(n_steps):
-                    rows.append([setting, beta, dt, delta, k + 1,
-                                 result.times[k], 1.0 - result.fidelity_to_gibbs[k],
-                                 result.beta_e[k], "ok"])
+    for setting, beta, dt, delta in res.cells():
+        n_steps = res.steps or max(1, int(math.ceil(t_final / dt)))
+        result = evolve(_config(res, setting, beta, dt, delta), rho0, n_steps)
+        for k in range(n_steps):
+            rows.append([setting, beta, dt, delta, k + 1,
+                         result.times[k], 1.0 - result.fidelity_to_gibbs[k],
+                         result.beta_e[k], "ok"])
     return columns, rows
 
 
@@ -417,28 +407,21 @@ def cmd_blp(res: Resolved) -> Tuple[List[str], List[Sequence]]:
     columns = ["setting", "beta", "dt", "delta", "blp_value", "theta_opt",
                "phi_opt", "status"]
     rows = []
-    for setting in res.settings:
-        for beta in res.betas:
-            for dt in res.dt_values():
-                for delta in res.delta_values():
-                    cfg = _config(res, setting, beta, float(dt), float(delta))
-                    out = blp_measure(cfg, n_steps=res.steps)
-                    status = "ok" if out.converged else "unconverged"
-                    rows.append([setting, beta, dt, delta, out.value,
-                                 out.argmax_pair[0], out.argmax_pair[1], status])
+    for setting, beta, dt, delta in res.cells():
+        out = blp_measure(_config(res, setting, beta, dt, delta), n_steps=res.steps)
+        status = "ok" if out.converged else "unconverged"
+        rows.append([setting, beta, dt, delta, out.value,
+                     out.argmax_pair[0], out.argmax_pair[1], status])
     return columns, rows
 
 
 def cmd_trajectories(res: Resolved) -> Tuple[List[str], List[Sequence]]:
     columns = ["setting", "m", "step", "t", "mean_stoch_heat", "std_error",
                "unconditional_heat", "status"]
-    setting = "II" if res.settings == ["I", "II"] else res.settings[0]
-    grids = {"beta": res.betas, "dt": res.dt_values(), "delta": res.delta_values()}
-    multi = [name for name, values in grids.items() if len(values) > 1]
-    if multi:
+    (setting, beta, dt, delta), *more = res.cells()
+    if more:
         raise CollideqError(f"trajectories runs one (beta, dt, delta) cell; "
-                            f"got several {' and '.join(multi)} values")
-    beta, dt, delta = (float(values[0]) for values in grids.values())
+                            f"got several ({1 + len(more)})")
     n_steps = res.steps or 100
     traj_list = res.traj_list or [1000]
     cfg = _config(res, setting, beta, dt, delta)
@@ -458,22 +441,19 @@ def cmd_limit_scan(res: Resolved) -> Tuple[List[str], List[Sequence]]:
     columns = ["setting", "beta", "r", "dt", "delta", "delta_rad", "delta_beta",
                "heat_flux", "status"]
     scale = HALF_PI if res.delta_units == "half-pi" else 1.0
-    settings = res.settings if res.settings != ["I", "II"] else ["II"]
     rows = []
-    for setting in settings:
-        for beta in res.betas:
-            for r in res.r_values:
-                for dt in res.dt_values():
-                    delta_units = 1.0 - float(dt) / r
-                    delta_rad = delta_units * scale
-                    if not (0.0 <= delta_rad < HALF_PI):
-                        rows.append([setting, beta, r, dt, delta_units, delta_rad,
-                                     math.nan, math.nan, "delta-out-of-range"])
-                        continue
-                    cell = _steady_cell(_config(res, setting, beta, float(dt), delta_rad),
-                                        negativities=False)
-                    rows.append([setting, beta, r, dt, delta_units, delta_rad,
-                                 cell["delta_beta"], cell["heat_flux"], cell["status"]])
+    for setting, beta, r, dt in itertools.product(res.settings, res.betas, res.r_values,
+                                                  res.dt_values):
+        delta_units = 1.0 - float(dt) / r
+        delta_rad = delta_units * scale
+        if not (0.0 <= delta_rad < HALF_PI):
+            rows.append([setting, beta, r, dt, delta_units, delta_rad,
+                         math.nan, math.nan, "delta-out-of-range"])
+            continue
+        cell = _steady_cell(_config(res, setting, beta, float(dt), delta_rad),
+                            negativities=False)
+        rows.append([setting, beta, r, dt, delta_units, delta_rad,
+                     cell["delta_beta"], cell["heat_flux"], cell["status"]])
     return columns, rows
 
 

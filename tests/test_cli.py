@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 import collideq
 from collideq import cli
-from collideq.cli import main, read_config_file
+from collideq.cli import Resolved, build_parser, main, read_config_file
 from collideq.engine import StepChannel, steady_state
 from collideq.tensor import QubitRegister
 
@@ -156,11 +157,17 @@ class TestEcho:
         # explicit dt and delta replace the preset's (dt, delta) pairs
         ["dynamics", "--preset", "fig3", "--dt", "0.05", "--delta", "0.3",
          "--t-final", "0.1"],
-    ], ids=["blp-default-delta", "limit-scan-default-dt", "dynamics-flags-over-pairs"])
+        # with no setting chosen, trajectories runs setting II alone
+        ["trajectories", "--traj", "10", "--steps", "2"],
+    ], ids=["blp-default-delta", "limit-scan-default-dt", "dynamics-flags-over-pairs",
+            "trajectories-default-setting"])
     def test_echo_matches_rows(self, tmp_path, args):
         out = tmp_path / "o.csv"
         run_cli(args + ["--out", str(out)])
-        header, _, rows = read_rows(out)
+        header, columns, rows = read_rows(out)
+        assert echoed(header, "settings")[0].split("+") == distinct(rows, "setting")
+        if "dt" not in columns:  # trajectories rows carry no dt or delta
+            return
         assert echoed(header, "dt_values") == distinct(rows, "dt")
         if args[0] == "limit-scan":  # its deltas follow from r and dt
             assert not any(h.startswith("# delta_values_rad=") for h in header)
@@ -173,6 +180,14 @@ class TestEcho:
         code = run_cli([command, "--steps", "0", "--out", str(out)])
         assert code == 2
         assert "steps" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--dt-grid", "--delta-grid"])
+    def test_zero_count_grid_rejected(self, tmp_path, capsys, flag):
+        out = tmp_path / "o.csv"
+        code = run_cli(["steady-state", flag, "0.1:0.2:0", "--out", str(out)])
+        assert code == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -220,6 +235,19 @@ class TestConfigPrecedence:
         code = run_cli([command, "--preset", "fig3", "--out", str(out)])
         assert code == 2
         assert "dynamics" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("delta_units", "halfpi"), ("rho0", "hot"),
+                                            ("setting", "III")])
+    def test_config_value_outside_choices_rejected(self, tmp_path, capsys, key, value):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"{key} = {value}\n")
+        out = tmp_path / "o.csv"
+        code = run_cli(["dynamics", "--config", str(conf), "--t-final", "0.1",
+                        "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err and value in err
         assert not out.exists()
 
     def test_read_config_rejects_garbage(self, tmp_path):
@@ -302,6 +330,14 @@ class TestLimitScan:
         _, _, rows = read_rows(out)
         assert rows[0]["status"] == "delta-out-of-range"
 
+    @pytest.mark.parametrize("args", [["--r", "0"], ["--r-list", "5,-0.1"]])
+    def test_nonpositive_ratio_rejected(self, tmp_path, capsys, args):
+        out = tmp_path / "ls.csv"
+        code = run_cli(["limit-scan", "--beta", "2", *args, "--out", str(out)])
+        assert code == 2
+        assert "ratio" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--delta", "0.3"), ("--delta-grid", "0:0.5:2")])
     def test_delta_flags_rejected(self, tmp_path, capsys, flag, value):
         out = tmp_path / "ls.csv"
@@ -330,9 +366,103 @@ class TestEntrypoint:
     def test_header_echoes_resolved_config(self, tmp_path):
         out = tmp_path / "o.csv"
         run_cli(["heat", "--setting", "II", "--beta", "0.5", "--dt", "0.3",
-                 "--seed", "5", "--out", str(out)])
+                 "--out", str(out)])
         header, _, _ = read_rows(out)
         joined = "\n".join(header)
-        assert "# seed=5" in joined
         assert "# settings=II" in joined
         assert "# dt_values=0.3" in joined
+        # heat reads no seed; trajectories does
+        run_cli(["trajectories", "--traj", "10", "--steps", "2", "--seed", "5",
+                 "--out", str(out)])
+        header, _, _ = read_rows(out)
+        assert "# seed=5" in "\n".join(header)
+
+
+# the options each command reads, written out here rather than taken from the CLI
+_COMMON = {"setting", "beta", "omega", "gamma", "dt", "dt_grid", "delta_units",
+           "preset", "config", "out"}
+_DELTA_AXIS = {"delta", "delta_grid"}
+READS = {
+    "steady-state": _COMMON | _DELTA_AXIS,
+    "heat": _COMMON | _DELTA_AXIS,
+    "negativity": _COMMON | _DELTA_AXIS,
+    "sweep": _COMMON | _DELTA_AXIS,
+    "dynamics": _COMMON | _DELTA_AXIS | {"steps", "t_final", "rho0"},
+    "blp": _COMMON | _DELTA_AXIS | {"steps"},
+    "trajectories": _COMMON | _DELTA_AXIS | {"steps", "traj", "seed", "rho0"},
+    "limit-scan": _COMMON | {"r", "r_list"},
+}
+# a value each option accepts, for every option but preset, config and out
+SAMPLE = {"setting": "II", "beta": "2", "omega": "1", "gamma": "1", "dt": "0.1",
+          "dt_grid": "0.1:0.2:2", "delta": "0.3", "delta_grid": "0:0.5:2",
+          "delta_units": "rad", "steps": "3", "traj": "10", "seed": "3", "rho0": "mixed",
+          "t_final": "0.5", "r": "5", "r_list": "5,0.1"}
+FLAG_ONLY = {"r_list", "preset", "config"}
+PRESET_TAKERS = {
+    "fig2": set(READS) - {"limit-scan"},
+    "fig3": {"dynamics"},
+    "fig4": set(READS) - {"limit-scan"},
+    "fig5": {"trajectories"},
+}
+UNREAD = [(c, o) for c in READS for o in SAMPLE if o not in READS[c]]
+
+
+def flag(option):
+    return "--" + option.replace("_", "-")
+
+
+class TestOptionMatrix:
+    def test_accepted_pair_counts(self):
+        # the tests below hold the CLI to this matrix
+        assert sum(len(options) for options in READS.values()) == 104
+        assert sum(len(options - FLAG_ONLY) for options in READS.values()) == 87
+
+    @pytest.mark.parametrize("command, option", UNREAD, ids=[f"{c}-{o}" for c, o in UNREAD])
+    def test_unread_flag_rejected(self, tmp_path, capsys, command, option):
+        out = tmp_path / "o.csv"
+        code = run_cli([command, flag(option), SAMPLE[option], "--out", str(out)])
+        assert code == 2
+        assert flag(option) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, option", [(c, o) for c, o in UNREAD
+                                                 if o not in FLAG_ONLY])
+    def test_unread_config_key_rejected(self, tmp_path, capsys, command, option):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{option} = {SAMPLE[option]}\n")
+        out = tmp_path / "o.csv"
+        code = run_cli([command, "--config", str(conf), "--out", str(out)])
+        assert code == 2
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", READS)
+    def test_read_options_resolve(self, tmp_path, command):
+        for option in READS[command] & set(SAMPLE):
+            Resolved(build_parser().parse_args([command, flag(option), SAMPLE[option]]))
+            if option not in FLAG_ONLY:
+                conf = tmp_path / "run.conf"
+                conf.write_text(f"{option} = {SAMPLE[option]}\n")
+                Resolved(build_parser().parse_args([command, "--config", str(conf)]))
+
+    @pytest.mark.parametrize("command", READS)
+    def test_help_lists_read_flags_only(self, capsys, command):
+        with pytest.raises(SystemExit):
+            run_cli([command, "--help"])
+        text = capsys.readouterr().out
+        for option in set(SAMPLE) | FLAG_ONLY | {"out"}:
+            shown = re.search(re.escape(flag(option)) + r"(?![-\w])", text) is not None
+            assert shown == (option in READS[command]), option
+
+    @pytest.mark.parametrize("command", READS)
+    @pytest.mark.parametrize("preset", PRESET_TAKERS)
+    def test_preset_matrix(self, tmp_path, capsys, command, preset):
+        if command in PRESET_TAKERS[preset]:
+            Resolved(build_parser().parse_args([command, "--preset", preset]))
+            return
+        out = tmp_path / "o.csv"
+        code = run_cli([command, "--preset", preset, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert preset in err and all(c in err for c in PRESET_TAKERS[preset])
+        assert not out.exists()
