@@ -257,6 +257,20 @@ class Resolved:
         if "delta_grid" in given:
             a, b, n = given["delta_grid"]
             values["delta_grid"] = (a * scale, b * scale, n)
+        # a value and its grid are one axis, taken from the highest source
+        # that sets either; one source setting both is rejected
+        sources = (("the command line", flags, _flag),
+                   (f"config file {args.config}", fileconf, str),
+                   (f"preset {self.preset_name}", preset, str))
+        for unit in (("dt", "dt_grid"), ("delta", "delta_grid"), ("r", "r_list")):
+            set_by = [src.keys() & set(unit) for _, src, _ in sources]
+            for (label, _, name), names in zip(sources, set_by):
+                if len(names) == 2:
+                    raise CollideqError(f"{label} sets both {name(unit[0])} and {name(unit[1])}; "
+                                        "give a value or a list, not both")
+            top = next((names for names in set_by if names), set(unit))
+            for name in set(unit) - top:
+                values.pop(name, None)
 
         self.omega = values.get("omega", 1.0)
         self.gamma = values.get("gamma", 1.0)
@@ -278,16 +292,14 @@ class Resolved:
         self.pairs = None if explicit else values.get("pairs")
         self.dt_values = self._axis(values, "dt", 0, _DEFAULT_DTS)
         self.delta_values = self._axis(values, "delta", 1, _DEFAULT_DELTAS)
-        # --r beats --r-list, which beats a config file's r
-        r_list = [values["r"]] if "r" in flags else values.get("r_list")
-        self.r_values = r_list or ([values["r"]] if "r" in values else [5.0, 0.1])
+        self.r_values = [values["r"]] if "r" in values else values.get("r_list", [5.0, 0.1])
         if any(r <= 0 for r in self.r_values):
             raise InvalidParameter(f"limit-scan ratios must be positive (got {self.r_values})")
         self.out = values.get("out", f"collideq_{self.command}.csv")
 
     def _axis(self, values: Dict, name: str, index: int, defaults: Dict) -> np.ndarray:
-        """The values of the dt or delta axis: one value, a grid, the preset
-        pairs' entry ``index`` or the command default, in that order."""
+        """The values of the dt or delta axis: its value or grid (at most one
+        is left), the preset pairs' entry ``index`` or the command default."""
         if name in values:
             return np.array([values[name]])
         if name + "_grid" in values:

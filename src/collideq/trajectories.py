@@ -13,9 +13,11 @@ of them with probability equal to its eigenvalue.
 
 Per step and bath, the sequence "attach a fresh unit, intra-collide it with
 the outgoing memory, measure the memory, discard it" is applied as a
-two-outcome Kraus pair A_o = <o|_M U_intra |birth>_F acting on the memory's
-axis of the ket, which is algebraically identical to forming the enlarged
-window but never leaves the system+memory dimension.
+two-outcome Kraus pair A_o = <o|_M U_intra |birth>_F: two broadcast
+multiply-adds over the memory's axis of the ket form both branches, which is
+algebraically identical to forming the enlarged window but never leaves the
+system+memory dimension. The products are elementwise and the collision is a
+stacked matmul, so a trajectory rounds the same at every batch size.
 
 Randomness is counter-based: trajectory k of an ensemble draws from a Philox
 stream keyed by a seed derived from (master_seed, k), and every variate has a
@@ -137,25 +139,23 @@ def _run_batch(cfg: ModelConfig, rho0_s: np.ndarray, n_steps: int, seeds) -> Tup
     rows = np.arange(b)
 
     births = _sample(tables[:, 0, :, _SLOT_BIRTH], ops.p_exc)
-    psi = _initial_kets(rho0_s, births, tables[:, 0, 0, _SLOT_EIGEN])
-    shape = psi.shape  # (B, S, M...): memory k sits on axis 2 + k
+    psi = _initial_kets(rho0_s, births, tables[:, 0, 0, _SLOT_EIGEN]).reshape(b, -1)
     outcomes = np.empty((b, n_steps, cfg.n_baths, 2), dtype=np.int8)
     for n in range(n_steps):
-        # a stacked matmul, unlike one (B, d) @ (d, d) product, rounds each
-        # trajectory the same at every batch size
-        psi = np.matmul(ops.u_coll, psi.reshape(b, -1, 1)).reshape(shape)
+        # stacked: one (B, d) @ (d, d) product would round by batch size
+        psi = np.matmul(ops.u_coll, psi.reshape(b, -1, 1)).reshape(b, -1)
         outcomes[:, n, :, 0] = births
         births = _sample(tables[:, n + 1, :, _SLOT_BIRTH], ops.p_exc)
         for k in range(cfg.n_baths):
-            branches = np.einsum("bofm,b...m->bo...f", ops.kraus[births[:, k]],
-                                 np.moveaxis(psi, 2 + k, -1))
+            # memory k as axis m of (B, o, pre, f, m, post); branches are (B, o, pre, f, post)
+            kr = ops.kraus[births[:, k]].reshape(b, 2, 1, 2, 2, 1)
+            v = psi.reshape(b, 1, 2 ** (1 + k), 1, 2, -1)
+            branches = kr[:, :, :, :, 0] * v[:, :, :, :, 0] + kr[:, :, :, :, 1] * v[:, :, :, :, 1]
             p = (branches.real ** 2 + branches.imag ** 2).reshape(b, 2, -1).sum(axis=2)
             _check_probs(p)
             second = _sample(tables[:, n + 1, k, _SLOT_MEASURE], p[:, EXCITED])
             outcomes[:, n, k, 1] = second
-            kept = branches[rows, second] / np.sqrt(p[rows, second]).reshape(
-                (b,) + (1,) * (len(shape) - 1))
-            psi = np.moveaxis(kept, -1, 2 + k)
+            psi = branches[rows, second].reshape(b, -1) / np.sqrt(p[rows, second, None])
 
     heats = cfg.omega * (outcomes[..., 0].astype(float) - outcomes[..., 1])
     psi = psi.reshape(b, 2, -1)

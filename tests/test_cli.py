@@ -250,6 +250,55 @@ class TestConfigPrecedence:
         assert key in err and value in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--dt", "0.1", "--dt-grid", "0.05:0.1:2"],
+        ["--delta", "0.3", "--delta-grid", "0:0.5:2"],
+    ])
+    def test_value_and_grid_from_one_source_rejected(self, tmp_path, capsys, args):
+        out = tmp_path / "o.csv"
+        code = run_cli(["steady-state", "--setting", "I", *args, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert args[0] in err and args[2] in err
+        assert not out.exists()
+
+    def test_value_and_grid_from_one_config_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("dt = 0.1\ndt_grid = 0.05:0.1:2\n")
+        out = tmp_path / "o.csv"
+        code = run_cli(["steady-state", "--setting", "I", "--config", str(conf),
+                        "--out", str(out)])
+        assert code == 2
+        assert "dt and dt_grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_grid_replaces_preset_value(self, tmp_path):
+        # the preset's dt 0.1 yields to the flag's one-point grid
+        out = tmp_path / "o.csv"
+        code = run_cli(["trajectories", "--preset", "fig5", "--traj", "10", "--steps", "2",
+                        "--dt-grid", "0.05:0.05:1", "--out", str(out)])
+        assert code == 0
+        header, _, rows = read_rows(out)
+        assert "# dt_values=0.05" in header
+        assert [r["t"] for r in rows] == ["0.05", "0.1"]
+
+    def test_flag_grid_of_two_beats_preset_value(self, tmp_path, capsys):
+        # the flag's two-point grid replaces the preset's dt, so two cells are asked for
+        out = tmp_path / "o.csv"
+        code = run_cli(["trajectories", "--preset", "fig5", "--traj", "10", "--steps", "2",
+                        "--dt-grid", "0.05:0.1:2", "--out", str(out)])
+        assert code == 2
+        assert "several" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_value_beats_preset_grid(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("delta = 0.2\n")
+        args = build_parser().parse_args(["sweep", "--preset", "fig4", "--config", str(conf)])
+        res = Resolved(args)
+        assert list(res.delta_values) == [0.2]
+        assert len(res.dt_values) == 20
+
     def test_read_config_rejects_garbage(self, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("not a key value line\n")
@@ -337,6 +386,22 @@ class TestLimitScan:
         assert code == 2
         assert "ratio" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_value_and_list_rejected(self, tmp_path, capsys):
+        out = tmp_path / "ls.csv"
+        code = run_cli(["limit-scan", "--beta", "2", "--r", "5", "--r-list", "5,0.1",
+                        "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--r and --r-list" in err
+        assert not out.exists()
+
+    def test_flag_list_beats_config_value(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("r = 3\n")
+        args = build_parser().parse_args(["limit-scan", "--config", str(conf),
+                                          "--r-list", "5,0.1"])
+        assert Resolved(args).r_values == [5.0, 0.1]
 
     @pytest.mark.parametrize("flag, value", [("--delta", "0.3"), ("--delta-grid", "0:0.5:2")])
     def test_delta_flags_rejected(self, tmp_path, capsys, flag, value):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -132,14 +133,16 @@ class TestEnsemble:
     @pytest.mark.parametrize("cfg", [cfg_i(beta=0.5, dt=0.3, delta=0.6),
                                      cfg_ii(beta=0.5, dt=0.3, delta=0.6)], ids=["I", "II"])
     def test_member_bit_identical_to_single_run(self, cfg):
-        # batch size must not change a trajectory's rounding
+        # batch size must not change a trajectory's rounding; the mixed start
+        # also draws its initial eigenstate
         seeds = [trajectory_seed(5, k) for k in range(300)]
-        outcomes, heats, finals = _run_batch(cfg, EXCITED_DM.mat, 40, seeds)
-        for k in (0, 149, 299):
-            rec = run_trajectory(cfg, EXCITED_DM, 40, seed=seeds[k])
-            assert np.array_equal(rec.outcomes, outcomes[k])
-            assert np.array_equal(rec.heats, heats[k])
-            assert np.array_equal(rec.final_system_state.mat, finals[k])
+        for rho0 in (EXCITED_DM, MIXED_DM):
+            outcomes, heats, finals = _run_batch(cfg, rho0.mat, 40, seeds)
+            for k in (0, 149, 299):
+                rec = run_trajectory(cfg, rho0, 40, seed=seeds[k])
+                assert np.array_equal(rec.outcomes, outcomes[k])
+                assert np.array_equal(rec.heats, heats[k])
+                assert np.array_equal(rec.final_system_state.mat, finals[k])
 
     def test_ensemble_determinism(self):
         cfg = cfg_ii()
@@ -254,3 +257,23 @@ def test_outcomes_match_explicit_window(cfg):
     assert set(np.unique(expected[..., 1])) == {EXCITED, GROUND}
     assert np.array_equal(outcomes, expected)
     assert np.array_equal(heats, cfg.omega * (expected[..., 0] - expected[..., 1].astype(float)))
+
+
+# SHA-256 of the int8 outcome tables of the fig5 cell (setting II, beta 1,
+# dt 0.1, delta 0.95 pi/2), seeds trajectory_seed(0, k) for k < 64, 100 steps
+GOLDEN_OUTCOMES = {
+    "ground": "e47f6bcd5f50d662b7f854ba6e98ee0cf64437c3deb9a66406061aded431c084",
+    "mixed": "14a26cfaaa8e0ee1f3b612c2e337a3b3f628df4486685fb816692b9e64e42f34",
+}
+
+
+@pytest.mark.parametrize("start", GOLDEN_OUTCOMES)
+def test_fig5_outcomes_pinned(start):
+    # any change to the step, the sampler or the Philox slot layout that
+    # moves a single outcome changes this digest
+    cfg = cfg_ii(beta=1.0, dt=0.1)
+    rho0 = {"ground": GROUND_DM, "mixed": MIXED_DM}[start]
+    seeds = [trajectory_seed(0, k) for k in range(64)]
+    outcomes = _run_batch(cfg, rho0.mat, 100, seeds)[0]
+    assert outcomes.dtype == np.int8 and outcomes.shape == (64, 100, 2, 2)
+    assert hashlib.sha256(outcomes.tobytes()).hexdigest() == GOLDEN_OUTCOMES[start]
