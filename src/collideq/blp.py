@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .engine import ModelConfig, _step_ops, embedded_step_channel
+from .engine import ModelConfig, _step_ops
 from .errors import InvalidParameter
 
 _DISTANCE_FLOOR = 1e-14
@@ -100,8 +100,8 @@ def blp_measure(cfg: ModelConfig, n_steps: Optional[int] = None,
     if n_steps < 1:
         raise InvalidParameter("n_steps must be at least 1")
 
-    superop = embedded_step_channel(cfg).superop
     core = _step_ops(cfg)
+    superop = core.superop
     mem = core.fresh_state
     proj = core.system_rows
 

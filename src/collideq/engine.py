@@ -177,72 +177,76 @@ def setting2_unitary(cfg: ModelConfig, register: QubitRegister,
     return UnitaryOp(register, expm_i_hermitian(h, cfg.dt))
 
 
-def _memory_labels(cfg: ModelConfig) -> list:
-    """Labels of the memory qubits, one per bath."""
-    return ["M"] if cfg.n_baths == 1 else [f"M{b}" for b in range(cfg.n_baths)]
-
-
-def _collision_unitary(cfg: ModelConfig, register: QubitRegister,
-                       memories: Sequence[str]) -> np.ndarray:
-    """System-bath collision of one step on ``register``.
-
-    Setting I: partial SWAP of angle J dt on (S, M). Setting II: the joint
-    exchange on (S, M0, M1).
-    """
-    if cfg.setting == SETTING_I:
-        return partial_swap(cfg.coupling_j * cfg.dt, ("S", *memories), register).mat
-    return setting2_unitary(cfg, register, "S", *memories).mat
-
-
 class _StepOps:
-    """One collision step on the embedded compound, and its linear readouts.
+    """The collision core of one configuration, the only place its step is built.
 
-    Extended register layout: compound labels first, fresh-ancilla labels
-    trailing, one fresh qubit per bath. The engineered full SWAP plus trace
-    over the swapped-out qubit is realized as a trace over the memory
-    positions (the two compositions are identical maps).
+    The collision is built on the compound register (S, M...) and lifted as
+    ``kron(u, I_F)`` to the extended register, whose fresh-ancilla labels
+    trail, one per bath. The engineered full SWAP plus trace over the
+    swapped-out qubit is realized as a trace over the memory positions (the
+    two compositions are identical maps).
 
-    ``readout`` holds rows on the row-major vec(compound). Rows 0-3 give the
-    system marginal (entries 00, 01, 10, 11). Then, per bath, four energy
-    rows: the memory before the system collision, after it and after the
-    intra collision, and the fresh unit after the intra collision. Each is
-    the Heisenberg-picture operator Tr_F[(1 x fresh) W^dag H W], so a heat is
-    a difference of two readout values on the pre-step compound.
+    ``superop`` is the step channel on the row-major vec(compound), and
+    ``readout`` holds rows on the same vector. Rows 0-3 give the system
+    marginal (entries 00, 01, 10, 11). Then, per bath, four energy rows: the
+    memory before the system collision, after it and after the intra
+    collision, and the fresh unit after the intra collision. Each is the
+    Heisenberg-picture operator Tr_F[(1 x fresh) W^dag H W], so a heat is a
+    difference of two readout values on the pre-step compound.
+
+    The trajectories read ``u_compound``, the Kraus pair ``kraus[birth, o] =
+    <o|_M U_intra |birth>_F`` indexed (F_out, M_in), and ``p_exc``.
     """
 
     def __init__(self, cfg: ModelConfig):
-        mem = _memory_labels(cfg)
+        mem = ["M"] if cfg.n_baths == 1 else [f"M{b}" for b in range(cfg.n_baths)]
         fresh = ["F" + m[1:] for m in mem]
-        self.compound_register = QubitRegister(["S"] + mem)
+        compound = self.compound_register = QubitRegister(["S"] + mem)
         ext = self.ext_register = QubitRegister(["S"] + mem + fresh)
-        self.mem_positions = list(ext.positions(mem))
 
-        self.u_coll = _collision_unitary(cfg, ext, mem)
+        if cfg.setting == SETTING_I:
+            self.u_compound = partial_swap(cfg.coupling_j * cfg.dt, ("S", *mem), compound).mat
+        else:
+            self.u_compound = setting2_unitary(cfg, compound, "S", *mem).mat
+        self.fresh_state = kron_all(*(cfg.bath_state(b) for b in range(cfg.n_baths)))
+        d, f_dim = compound.dim, self.fresh_state.shape[0]
+        self.u_coll = np.kron(self.u_compound, np.eye(f_dim, dtype=complex))
+        intra = intra_bath_unitary(cfg.delta, ("M", "F"), QubitRegister(["M", "F"])).mat
+        # (M_out, F_out, M_in, F_in) -> (F_in, M_out, F_out, M_in)
+        self.kraus = intra.reshape(2, 2, 2, 2).transpose(3, 0, 1, 2)
         u_intra = np.eye(ext.dim, dtype=complex)
         for m, f in zip(mem, fresh):
-            u_intra = u_intra @ intra_bath_unitary(cfg.delta, (m, f), ext).mat
+            u_intra = u_intra @ embed(intra, (m, f), ext)
         self.u_intra = u_intra
-        self.u_step = u_intra @ self.u_coll
-        self.fresh_state = kron_all(*(cfg.bath_state(b) for b in range(cfg.n_baths)))
-        self.fresh_energies = np.array([
-            float(0.5 * cfg.omega * (cfg.bath_state(b)[0, 0] - cfg.bath_state(b)[1, 1]).real)
-            for b in range(cfg.n_baths)
-        ])
-
-        d = self.compound_dim
-        f_dim = self.fresh_state.shape[0]
+        self.u_step = u_step = u_intra @ self.u_coll
+        pops = np.array([cfg.bath_state(b).diagonal().real for b in range(cfg.n_baths)])
+        self.p_exc = pops[:, 0]
+        self.fresh_energies = 0.5 * cfg.omega * (pops[:, 0] - pops[:, 1])
 
         def row(h: np.ndarray, w: np.ndarray) -> np.ndarray:
             o = (w.conj().T @ h @ w).reshape(d, f_dim, d, f_dim)
             return np.einsum("ikjl,lk->ji", o, self.fresh_state).reshape(-1)
 
         h_qubit = 0.5 * cfg.omega * SIGMA_Z
-        one, u_step = np.eye(ext.dim), self.u_step
+        one = np.eye(ext.dim)
         rows = [np.kron(e, np.eye(d // 2)).reshape(-1) for e in np.eye(4).reshape(4, 2, 2)]
         for m, f in zip(mem, fresh):
             h_m, h_f = embed(h_qubit, [m], ext), embed(h_qubit, [f], ext)
             rows += [row(h_m, one), row(h_m, self.u_coll), row(h_m, u_step), row(h_f, u_step)]
         self.readout = np.array(rows, dtype=complex)
+
+        # columns: images of the basis matrices E_ij, 16 at a time so the
+        # extended-space stacks stay small
+        basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        images = []
+        for i in range(0, d * d, 16):
+            t = (basis[i:i + 16, :, None, :, None] * self.fresh_state[None, None, :, None, :]
+                 ).reshape(-1, d * f_dim, d * f_dim)
+            t = (u_step @ t @ u_step.conj().T).reshape([-1] + [2] * (2 * ext.n_qubits))
+            for _ in mem:  # the memories sit right after S
+                t = np.trace(t, axis1=2, axis2=2 + (t.ndim - 1) // 2)
+            images.append(t.reshape(-1, d, d))
+        self.superop = np.concatenate(images).reshape(d * d, d * d).T
 
     @property
     def compound_dim(self) -> int:
@@ -262,30 +266,23 @@ class _StepOps:
         e = reads[..., 4:].real.reshape(reads.shape[:-1] + (-1, 4))
         return e[..., 1] - e[..., 0], e[..., 2] - e[..., 1], e[..., 3] - self.fresh_energies
 
-    def apply_channel_batch(self, mats: np.ndarray) -> np.ndarray:
-        """Channel applied to a stack of compound-space matrices."""
-        b = mats.shape[0]
-        d = self.compound_dim
-        f = self.fresh_state.shape[0]
-        ext = (mats[:, :, None, :, None] * self.fresh_state[None, None, :, None, :]
-               ).reshape(b, d * f, d * f)
-        ext = self.u_step @ ext @ self.u_step.conj().T
-        t = ext.reshape([b] + [2] * (2 * self.ext_register.n_qubits))
-        for offset, q in enumerate(sorted(self.mem_positions)):
-            ax = q - offset
-            n_cur = (t.ndim - 1) // 2
-            t = np.trace(t, axis1=1 + ax, axis2=1 + ax + n_cur)
-        return t.reshape(b, d, d)
-
     def step_with_heat(self, rho_c: np.ndarray):
         """One step returning (next compound, q_sa, q_intra_out, q_intra_in)."""
-        q_sa, q_intra_out, q_intra_in = self.heats(self.readout @ rho_c.reshape(-1))
-        return self.apply_channel_batch(rho_c[None])[0], q_sa, q_intra_out, q_intra_in
+        v = np.asarray(rho_c, dtype=complex).reshape(-1)
+        q_sa, q_intra_out, q_intra_in = self.heats(self.readout @ v)
+        return (self.superop @ v).reshape(rho_c.shape), q_sa, q_intra_out, q_intra_in
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=1)
 def _step_ops(cfg: ModelConfig) -> _StepOps:
-    """Collision core of ``cfg``, shared by all callers, so its arrays are read-only."""
+    """Collision core of ``cfg``, shared by all callers, so its arrays are read-only.
+
+    One entry is enough: every caller reads one configuration's core in
+    consecutive calls and never returns to an older one. A steady-state cell
+    reads the channel and then the flux, a BLP cell reads the channel and
+    the system rows, and the trajectories command runs ``evolve`` and then
+    each of its ensemble chunks.
+    """
     ops = _StepOps(cfg)
     for value in vars(ops).values():
         if isinstance(value, np.ndarray):
@@ -301,7 +298,12 @@ def _bare_step_ops(cfg: ModelConfig) -> _StepOps:
 
 @dataclass(frozen=True, eq=False)
 class StepChannel:
-    """One-collision CPTP map as a superoperator on row-major vectorized states."""
+    """One-collision CPTP map as a superoperator on row-major vectorized states.
+
+    From :func:`embedded_step_channel`, ``superop`` is the cached collision
+    core's read-only array, the same object every caller of that
+    configuration reads.
+    """
 
     register: QubitRegister
     superop: np.ndarray = field(repr=False)
@@ -316,22 +318,12 @@ class StepChannel:
         return (self.superop @ np.asarray(mat, dtype=complex).reshape(-1)).reshape(d, d)
 
 
-def _superop_from_batch(apply_batch, d: int) -> np.ndarray:
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    idx = np.arange(d * d)
-    basis[idx, idx // d, idx % d] = 1.0
-    # a few basis matrices at a time keep the extended-space stacks small
-    images = np.concatenate([apply_batch(basis[i:i + 16]) for i in range(0, d * d, 16)])
-    return images.reshape(d * d, d * d).T
-
-
 def embedded_step_channel(cfg: ModelConfig) -> StepChannel:
     """One-step channel on the system+memory compound (works for delta = 0 too)."""
     ops = _step_ops(cfg)
-    superop = _superop_from_batch(ops.apply_channel_batch, ops.compound_dim)
     return StepChannel(
         register=ops.compound_register,
-        superop=superop,
+        superop=ops.superop,
         description=f"setting {cfg.setting} embedded, dt={cfg.dt:g}, delta={cfg.delta:g}",
     )
 
@@ -354,7 +346,7 @@ def markovian_channel(cfg: ModelConfig) -> StepChannel:
     ops = _bare_step_ops(cfg)
     # columns: vec(E_ij x fresh memories) for the four system basis matrices E_ij
     attach = np.einsum("xij,kl->ikjlx", np.eye(4).reshape(4, 2, 2), ops.fresh_state)
-    superop = ops.system_rows @ embedded_step_channel(cfg).superop @ attach.reshape(-1, 4)
+    superop = ops.system_rows @ ops.superop @ attach.reshape(-1, 4)
     return StepChannel(
         register=QubitRegister(["S"]),
         superop=superop,
@@ -491,7 +483,6 @@ def evolve(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int) -> EvolutionRe
     if n_steps < 1:
         raise InvalidParameter("n_steps must be at least 1")
     ops = _step_ops(cfg)
-    superop = embedded_step_channel(cfg).superop
     target = gibbs_qubit(cfg.beta, cfg.omega)
 
     # readouts of the compound before every step and after the last one
@@ -499,7 +490,7 @@ def evolve(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int) -> EvolutionRe
     reads = np.empty((n_steps + 1, ops.readout.shape[0]), dtype=complex)
     reads[0] = ops.readout @ v
     for n in range(n_steps):
-        v = superop @ v
+        v = ops.superop @ v
         reads[n + 1] = ops.readout @ v
 
     times = cfg.dt * np.arange(1, n_steps + 1)

@@ -148,20 +148,20 @@ def fidelity_from_delta_beta(beta: float, delta_beta: float, omega: float) -> fl
     return float(np.exp(log_f))
 
 
-def _negative_eigs(pt: np.ndarray) -> np.ndarray:
-    # eigenvalues within rounding (1e-12) of zero do not count as negative
+def _negativity(pt: np.ndarray) -> float:
+    # twice the summed magnitude of the negative eigenvalues; those within
+    # rounding (1e-12) of zero do not count, and none left gives +0.0, never -0
     lam = np.linalg.eigvalsh(pt)
-    return lam[lam < -1e-12]
+    neg = lam[lam < -1e-12]
+    return -2.0 * float(neg.sum()) if neg.size else 0.0
 
 
 def negativity_2(rho: DensityMatrix) -> float:
     """Two-qubit negativity 2*max(0, -lambda_min) of the partial transpose."""
     if rho.register.n_qubits != 2:
         raise DimensionMismatch("negativity_2 requires a 2-qubit state")
-    lam_min = float(np.linalg.eigvalsh(partial_transpose(rho, rho.register.labels[:1])).min())
-    if lam_min > -1e-12:
-        return 0.0
-    return -2.0 * lam_min
+    # a two-qubit partial transpose has at most one negative eigenvalue
+    return _negativity(partial_transpose(rho, rho.register.labels[:1]))
 
 
 def negativity_bipartition(rho: DensityMatrix, part: str) -> float:
@@ -173,8 +173,7 @@ def negativity_bipartition(rho: DensityMatrix, part: str) -> float:
         raise DimensionMismatch("negativity_bipartition requires a 3-qubit state")
     if part not in rho.register.labels:
         raise InvalidSubsystem(f"{part!r} not in register {rho.register.labels}")
-    neg = _negative_eigs(partial_transpose(rho, [part]))
-    return 2.0 * float(-neg.sum())
+    return _negativity(partial_transpose(rho, [part]))
 
 
 def tripartite_negativity(rho: DensityMatrix) -> float:

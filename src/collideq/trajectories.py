@@ -32,7 +32,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .engine import ModelConfig, _collision_unitary, _memory_labels, intra_bath_unitary
+from .engine import ModelConfig, _step_ops
 from .errors import InvalidParameter, NumericalPositivityError
 from .tensor import EXCITED, GROUND, DensityMatrix, QubitRegister
 
@@ -94,21 +94,6 @@ class EnsembleStats:
     se_final_state: np.ndarray
 
 
-class _TrajOps:
-    """Collision unitary, measurement Kraus maps and birth probabilities."""
-
-    def __init__(self, cfg: ModelConfig):
-        mem = _memory_labels(cfg)
-        self.u_coll = _collision_unitary(cfg, QubitRegister(["S"] + mem), mem)
-        intra4 = intra_bath_unitary(
-            cfg.delta, ("M", "F"), QubitRegister(["M", "F"])
-        ).mat.reshape(2, 2, 2, 2)  # (M_out, F_out, M_in, F_in)
-        # kraus[birth, o] = <o|_M U_intra |birth>_F: maps the measured memory's
-        # ket onto its successor's, indexed (F_out, M_in)
-        self.kraus = intra4.transpose(3, 0, 1, 2)
-        self.p_exc = np.array([cfg.bath_state(b)[0, 0].real for b in range(cfg.n_baths)])
-
-
 def _check_probs(p: np.ndarray):
     if p.min() < -_PROB_TOL or p.max() > 1.0 + _PROB_TOL:
         raise NumericalPositivityError(
@@ -133,7 +118,7 @@ def _initial_kets(rho0_s: np.ndarray, births: np.ndarray, uniforms) -> np.ndarra
 
 def _run_batch(cfg: ModelConfig, rho0_s: np.ndarray, n_steps: int, seeds) -> Tuple:
     """Propagate a batch of trajectories; returns (outcomes, heats, finals)."""
-    ops = _TrajOps(cfg)
+    ops = _step_ops(cfg)
     b = len(seeds)
     tables = _uniform_tables(seeds, n_steps, cfg.n_baths)
     rows = np.arange(b)
@@ -143,7 +128,7 @@ def _run_batch(cfg: ModelConfig, rho0_s: np.ndarray, n_steps: int, seeds) -> Tup
     outcomes = np.empty((b, n_steps, cfg.n_baths, 2), dtype=np.int8)
     for n in range(n_steps):
         # stacked: one (B, d) @ (d, d) product would round by batch size
-        psi = np.matmul(ops.u_coll, psi.reshape(b, -1, 1)).reshape(b, -1)
+        psi = np.matmul(ops.u_compound, psi.reshape(b, -1, 1)).reshape(b, -1)
         outcomes[:, n, :, 0] = births
         births = _sample(tables[:, n + 1, :, _SLOT_BIRTH], ops.p_exc)
         for k in range(cfg.n_baths):

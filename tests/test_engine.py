@@ -192,6 +192,37 @@ class TestUnitaries:
             u = ops.u_intra @ ops.u_coll
             assert np.abs(u @ u.conj().T - np.eye(ops.ext_register.dim)).max() < 1e-10
 
+    @staticmethod
+    def _compound_hamiltonian(cfg):
+        reg = QubitRegister(["S", "M0", "M1"])
+        return (heisenberg_interaction(cfg.coupling_j0, ("S", "M0"), reg).mat
+                + heisenberg_interaction(cfg.coupling_j1, ("S", "M1"), reg).mat)
+
+    def test_collision_is_the_compound_unitary_lifted_by_kron(self):
+        from collideq.engine import _StepOps
+
+        for cfg in (cfg_i(beta=0.7, dt=0.08, delta=0.4), cfg_i(beta=math.inf, dt=0.3),
+                    cfg_ii(beta=0.5, dt=0.1, delta=0.4), cfg_ii(beta=40.0, dt=1.25e-3)):
+            if cfg.setting == "I":
+                u = partial_swap(cfg.coupling_j * cfg.dt, ("S", "M"), QubitRegister(["S", "M"])).mat
+            else:
+                u = expm_i_hermitian(self._compound_hamiltonian(cfg), cfg.dt)
+            f_dim = 2 ** cfg.n_baths
+            assert np.array_equal(_StepOps(cfg).u_coll, np.kron(u, np.eye(f_dim)))
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 40.0])
+    @pytest.mark.parametrize("dt", [1.25e-3, 0.01, 0.1, 0.5])
+    def test_setting2_collision_matches_high_precision_expm(self, beta, dt):
+        # 40-digit exp(-i H dt) of the same floating-point compound Hamiltonian
+        mpmath = pytest.importorskip("mpmath")
+        from collideq.engine import _StepOps
+
+        cfg = cfg_ii(beta=beta, dt=dt)
+        with mpmath.workdps(40):
+            exact = mpmath.expm(mpmath.matrix(self._compound_hamiltonian(cfg)) * (-1j * mpmath.mpf(dt)))
+            u = np.array(exact.tolist(), dtype=complex)
+        assert np.abs(_StepOps(cfg).u_coll - np.kron(u, np.eye(4))).max() <= 1e-15
+
 
 class TestMarkovianStep:
     def test_thermal_fixed_point_and_zero_heat(self):
@@ -282,14 +313,24 @@ class TestEmbeddedChannel:
 
         ops = _StepOps(cfg)
         d = ops.compound_dim
-        basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
         n = ops.ext_register.n_qubits
-        keep = [q for q in range(n) if q not in ops.mem_positions]
-        for chunk in range(0, d * d, 16):
-            mats = basis[chunk:chunk + 16]
-            ref = [_ptrace_raw(ops.u_step @ np.kron(m, ops.fresh_state) @ ops.u_step.conj().T,
-                               n, keep) for m in mats]
-            assert np.array_equal(ops.apply_channel_batch(mats), np.array(ref))
+        keep = [q for q, label in enumerate(ops.ext_register.labels) if not label.startswith("M")]
+        for idx, m in enumerate(np.eye(d * d, dtype=complex).reshape(d * d, d, d)):
+            ref = _ptrace_raw(ops.u_step @ np.kron(m, ops.fresh_state) @ ops.u_step.conj().T,
+                              n, keep)
+            assert np.array_equal(ops.superop[:, idx].reshape(d, d), ref)
+
+    @pytest.mark.parametrize("cfg", [cfg_i(dt=0.1, delta=0.7),
+                                     cfg_ii(beta=0.3, dt=0.3, delta=1.2)], ids=["I", "II"])
+    def test_step_with_heat_propagates_by_the_channel(self, cfg):
+        from collideq.engine import _step_ops
+
+        d = 2 ** (1 + cfg.n_baths)
+        x, y = np.random.default_rng(5).normal(size=(2, d, d))
+        rho = (x + 1j * y) @ (x - 1j * y).T
+        rho = rho / np.trace(rho)
+        assert np.array_equal(_step_ops(cfg).step_with_heat(rho)[0],
+                              embedded_step_channel(cfg).apply(rho))
 
     def test_completely_positive_choi(self):
         for cfg in (cfg_i(delta=0.8), cfg_ii(delta=0.8, dt=0.05)):

@@ -215,7 +215,8 @@ class TestNegativity:
     def test_bipartition_product_zero(self):
         rho = dm(["A", "B", "C"], kron_all(*(random_density(1) for _ in range(3))))
         for label in "ABC":
-            assert negativity_bipartition(rho, label) < 1e-12
+            n = negativity_bipartition(rho, label)
+            assert n == 0.0 and math.copysign(1.0, n) == 1.0  # +0.0, which prints as 0
 
     def test_bipartition_ghz(self):
         rho = dm(["A", "B", "C"], ghz())
