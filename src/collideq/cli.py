@@ -408,10 +408,9 @@ def cmd_dynamics(res: Resolved) -> Tuple[List[str], List[Sequence]]:
     for setting, beta, dt, delta in res.cells():
         n_steps = res.steps or max(1, int(math.ceil(t_final / dt)))
         result = evolve(_config(res, setting, beta, dt, delta), rho0, n_steps)
-        for k in range(n_steps):
-            rows.append([setting, beta, dt, delta, k + 1,
-                         result.times[k], 1.0 - result.fidelity_to_gibbs[k],
-                         result.beta_e[k], "ok"])
+        readouts = zip(result.times, 1.0 - result.fidelity_to_gibbs, result.beta_e)
+        for k, (t, one_minus_f, beta_e) in enumerate(readouts, 1):
+            rows.append([setting, beta, dt, delta, k, t, one_minus_f, beta_e, "ok"])
     return columns, rows
 
 

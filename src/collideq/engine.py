@@ -27,15 +27,9 @@ from .errors import (
     FixedPointError,
     InvalidParameter,
     NonUniqueSteadyState,
-    NotDiagonal,
     NumericalPositivityError,
 )
-from .metrics import (
-    ThermalParams,
-    effective_temperature,
-    fidelity,
-    gibbs_qubit,
-)
+from .metrics import ThermalParams, _effective_betas, _fidelities, gibbs_qubit
 from .tensor import (
     EXCITED,
     GROUND,
@@ -48,6 +42,7 @@ from .tensor import (
     HermitianOp,
     QubitRegister,
     UnitaryOp,
+    _check_density_stack,
     embed,
     expm_i_hermitian,
     kron_all,
@@ -443,10 +438,12 @@ def steady_state(channel: StepChannel, cross_check: bool = True) -> DensityMatri
 class EvolutionResult:
     """Per-step reduced system states and diagnostics from ``evolve``.
 
-    ``beta_e`` is NaN where the system state is not diagonal and signed
-    infinity where it is numerically pure. Heat arrays have one column per
-    bath; ``q_lifecycle[n]`` is complete once step n has run (the incoming
-    intra-collision of the unit measured at step n happened at step n-1).
+    ``fidelity_to_gibbs`` and ``beta_e`` are read off the stacked
+    ``states`` in one pass. ``beta_e`` is NaN where the system state is not
+    diagonal and signed infinity where it is numerically pure. Heat arrays
+    have one column per bath; ``q_lifecycle[n]`` is complete once step n has
+    run (the incoming intra-collision of the unit measured at step n
+    happened at step n-1).
     """
 
     times: np.ndarray
@@ -478,7 +475,9 @@ def evolve(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int) -> EvolutionRe
     """Stroboscopic evolution from ``rho0_s`` with memories in fresh bath states.
 
     Returns one row per collision at times t = n dt, including the per-bath
-    heat bookkeeping of the unit retired at each step.
+    heat bookkeeping of the unit retired at each step. The system states of
+    all steps are checked as density matrices (``NotHermitian`` or
+    ``ValueError`` on the first that fails) and read out as one stack.
     """
     if n_steps < 1:
         raise InvalidParameter("n_steps must be at least 1")
@@ -498,15 +497,9 @@ def evolve(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int) -> EvolutionRe
     q_sa, q_intra_out, next_q_in = ops.heats(reads[:-1])
     # the first memory is a fresh unit: no predecessor
     q_intra_in = np.vstack([np.zeros((1, cfg.n_baths)), next_q_in[:-1]])
-    fid = np.empty(n_steps)
-    beta_e = np.empty(n_steps)
-    for n in range(n_steps):
-        sys_dm = DensityMatrix(target.register, states[n])
-        fid[n] = fidelity(sys_dm, target)
-        try:
-            beta_e[n] = effective_temperature(sys_dm, cfg.omega).beta_e
-        except NotDiagonal:
-            beta_e[n] = math.nan
+    _check_density_stack(states)
+    fid = _fidelities(states, target.mat)
+    _, beta_e, _ = _effective_betas(states, cfg.omega)
 
     final = DensityMatrix(ops.compound_register, v.reshape(ops.compound_dim, -1))
     return EvolutionResult(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -77,15 +78,17 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
+def _fidelities(mats: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Uhlmann fidelity of each matrix of a ``(k, d, d)`` stack to ``sigma``."""
+    rs = _psd_sqrt(sigma)
+    w = np.clip(np.linalg.eigvalsh(rs @ mats @ rs), 0.0, None)
+    return np.minimum(np.sqrt(w).sum(axis=-1) ** 2, 1.0)
+
+
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2."""
     _same_register(rho, sigma)
-    rs = _psd_sqrt(sigma.mat)
-    inner = rs @ rho.mat @ rs
-    w = np.linalg.eigvalsh(inner)
-    w = np.clip(w, 0.0, None)
-    f = float(np.sqrt(w).sum() ** 2)
-    return min(f, 1.0)
+    return float(_fidelities(rho.mat[None], sigma.mat)[0])
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -114,25 +117,38 @@ class EffectiveTemperature:
         return self.beta_e - beta
 
 
+def _effective_betas(mats: np.ndarray, omega: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(g_e, beta_e, coherent)`` for each qubit state of a ``(k, 2, 2)`` stack.
+
+    ``beta_e`` is NaN where the off-diagonal magnitude exceeds 1e-8 (those
+    states are marked ``coherent``), signed infinity where the state is
+    numerically pure, and (1/omega) log((1+g_e)/(1-g_e)) otherwise.
+    """
+    coherent = np.abs(mats[:, 0, 1]) > _DIAG_TOL
+    p_exc = mats[:, 0, 0].real
+    p_gnd = mats[:, 1, 1].real
+    g_e = p_gnd - p_exc
+    pure = (np.abs(g_e) >= _GE_SATURATION) | (np.minimum(p_exc, p_gnd) <= 0.0)
+    # log((1+g_e)/(1-g_e)) evaluated as log(p_gnd/p_exc): no cancellation
+    # when one population is tiny.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        thermal = np.log(p_gnd / p_exc) / omega
+    beta_e = np.where(coherent, np.nan,
+                      np.where(pure, np.copysign(np.inf, g_e), thermal))
+    return g_e, beta_e, coherent
+
+
 def effective_temperature(rho: DensityMatrix, omega: float) -> EffectiveTemperature:
     """Read off beta_e = (1/omega) log((1+g_e)/(1-g_e)) from a diagonal qubit state."""
     if rho.register.n_qubits != 1:
         raise DimensionMismatch("effective temperature is defined for a single qubit")
     if not omega > 0:
         raise InvalidParameter(f"omega must be positive (got {omega})")
-    off = abs(rho.mat[0, 1])
-    if off > _DIAG_TOL:
-        raise NotDiagonal(f"off-diagonal element {off:.2e} exceeds {_DIAG_TOL}")
-    p_exc = float(rho.mat[0, 0].real)
-    p_gnd = float(rho.mat[1, 1].real)
-    g_e = p_gnd - p_exc
-    if abs(g_e) >= _GE_SATURATION or min(p_exc, p_gnd) <= 0.0:
-        return EffectiveTemperature(g_e=g_e, beta_e=math.copysign(math.inf, g_e),
-                                    omega=omega, valid=False)
-    # log((1+g_e)/(1-g_e)) evaluated as log(p_gnd/p_exc): no cancellation
-    # when one population is tiny.
-    beta_e = math.log(p_gnd / p_exc) / omega
-    return EffectiveTemperature(g_e=g_e, beta_e=beta_e, omega=omega, valid=True)
+    (g_e,), (beta_e,), (coherent,) = _effective_betas(rho.mat[None], omega)
+    if coherent:
+        raise NotDiagonal(f"off-diagonal element {abs(rho.mat[0, 1]):.2e} exceeds {_DIAG_TOL}")
+    return EffectiveTemperature(g_e=float(g_e), beta_e=float(beta_e), omega=omega,
+                                valid=not math.isinf(beta_e))
 
 
 def fidelity_from_delta_beta(beta: float, delta_beta: float, omega: float) -> float:

@@ -112,6 +112,28 @@ def _check_register_matrix(register: QubitRegister, mat: np.ndarray) -> np.ndarr
     return mat
 
 
+def _check_density_stack(mats: np.ndarray) -> None:
+    """Check every matrix of a ``(k, d, d)`` stack is a density matrix.
+
+    Hermitian, unit trace and no eigenvalue below zero, each to 1e-10. The
+    first matrix of the stack that fails raises the error of its first
+    failing check: ``NotHermitian``, else ``ValueError``.
+    """
+    herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > STRUCT_TOL
+    tr = np.trace(mats, axis1=-2, axis2=-1)
+    unit = np.abs(tr - 1.0) > STRUCT_TOL
+    neg = np.linalg.eigvalsh(mats).min(axis=-1) < -STRUCT_TOL
+    bad = np.flatnonzero(herm | unit | neg)
+    if not bad.size:
+        return
+    k = bad[0]
+    if herm[k]:
+        raise NotHermitian("density matrix is not Hermitian to 1e-10")
+    if unit[k]:
+        raise ValueError(f"density matrix trace {tr[k]} differs from 1 beyond 1e-10")
+    raise ValueError("density matrix has an eigenvalue below -1e-10")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Unit-trace, Hermitian, positive-semidefinite state over a register."""
@@ -122,13 +144,7 @@ class DensityMatrix:
     def __post_init__(self):
         mat = _check_register_matrix(self.register, self.mat)
         object.__setattr__(self, "mat", mat)
-        if np.abs(mat - mat.conj().T).max() > STRUCT_TOL:
-            raise NotHermitian("density matrix is not Hermitian to 1e-10")
-        tr = np.trace(mat)
-        if abs(tr - 1.0) > STRUCT_TOL:
-            raise ValueError(f"density matrix trace {tr} differs from 1 beyond 1e-10")
-        if np.linalg.eigvalsh(mat).min() < -STRUCT_TOL:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
+        _check_density_stack(mat[None])
 
     @property
     def dim(self) -> int:

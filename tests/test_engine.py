@@ -24,6 +24,7 @@ from collideq.errors import (
     FixedPointError,
     InvalidParameter,
     NonUniqueSteadyState,
+    NotDiagonal,
     NumericalPositivityError,
 )
 from collideq.lindblad import integrate, thermal_qubit_spec
@@ -611,6 +612,57 @@ class TestEvolve:
         assert len(recs) == 2
         assert recs[0].bath == 0
         assert abs(recs[0].q_lifecycle - res.q_lifecycle[3, 0]) < 1e-15
+
+
+class TestStackedReadouts:
+    """evolve's one-pass readouts against the per-state public metrics."""
+
+    STARTS = {
+        "excited": projector(0),
+        "ground": projector(1),
+        "mixed": np.eye(2) / 2,
+        "diag(0.8,0.2)": np.diag([0.8, 0.2]),
+    }
+
+    @pytest.mark.parametrize("setting", ["I", "II"])
+    @pytest.mark.parametrize("start", sorted(STARTS))
+    def test_match_per_state_fidelity_and_beta_e(self, setting, start):
+        cfg = (cfg_i if setting == "I" else cfg_ii)(beta=2.0, dt=0.01, delta=0.95 * HALF_PI)
+        res = evolve(cfg, sys_dm(self.STARTS[start]), 200)
+        gibbs = gibbs_qubit(cfg.beta, cfg.omega)
+        for n, state in enumerate(res.states):
+            rho = sys_dm(state)
+            assert abs(res.fidelity_to_gibbs[n] - fidelity(rho, gibbs)) <= 2.3e-16
+            expected = effective_temperature(rho, cfg.omega).beta_e
+            assert math.isfinite(expected)
+            assert abs(res.beta_e[n] - expected) <= np.spacing(abs(expected))
+
+    @pytest.mark.parametrize("make_cfg", [cfg_i, cfg_ii], ids=["I", "II"])
+    def test_coherent_start_gives_nan_beta_e(self, make_cfg):
+        res = evolve(make_cfg(delta=0.5 * HALF_PI), sys_dm(np.full((2, 2), 0.5)), 200)
+        coherent = np.abs(res.states[:, 0, 1]) > 1e-8
+        assert coherent.any()
+        assert np.array_equal(np.isnan(res.beta_e), coherent)
+        for state, b_e in zip(res.states, res.beta_e):
+            if np.isnan(b_e):
+                with pytest.raises(NotDiagonal):
+                    effective_temperature(sys_dm(state), 1.0)
+
+    @pytest.mark.parametrize("make_cfg", [cfg_i, cfg_ii], ids=["I", "II"])
+    def test_intermediate_step_failing_the_state_checks_raises(self, make_cfg):
+        # a start smuggled past DensityMatrix's checks with population -1e-2:
+        # the first steps' system states have a negative eigenvalue, but by
+        # step 50 the system and the final compound are positive again
+        rho0 = sys_dm(projector(0))
+        object.__setattr__(rho0, "mat", np.diag([1.01, -0.01]).astype(complex))
+        with pytest.raises(ValueError, match="eigenvalue below"):
+            evolve(make_cfg(dt=0.001, delta=0.5 * HALF_PI), rho0, 50)
+
+    @pytest.mark.parametrize("make_cfg", [cfg_i, cfg_ii], ids=["I", "II"])
+    def test_pure_ground_at_zero_temperature_gives_inf_beta_e(self, make_cfg):
+        res = evolve(make_cfg(beta=math.inf, delta=0.5 * HALF_PI), sys_dm(projector(1)), 50)
+        assert np.all(res.beta_e == math.inf)
+        assert np.all(res.fidelity_to_gibbs == 1.0)
 
 
 class TestLindbladLimit:

@@ -13,6 +13,7 @@ from collideq.tensor import (
     HermitianOp,
     QubitRegister,
     UnitaryOp,
+    _check_density_stack,
     embed,
     eig_hermitian,
     expm_i_hermitian,
@@ -265,6 +266,37 @@ class TestValidation:
             DensityMatrix(reg, np.eye(2))  # trace 2
         with pytest.raises(ValueError):
             DensityMatrix(reg, np.diag([1.5, -0.5]))  # negative eigenvalue
+
+    BAD = {
+        "non-hermitian": (np.array([[0.6, 0.2 + 1e-9], [0.2, 0.4]]),
+                          np.array([[0.6, 0.2 + 5e-11], [0.2, 0.4]])),
+        "trace": (np.diag([0.61, 0.4]), np.diag([0.6 + 5e-11, 0.4])),
+        "negative": (np.diag([1.0 + 1e-9, -1e-9]), np.diag([1.0 + 5e-11, -5e-11])),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_stack_check_raises_as_density_matrix(self, kind, at):
+        reg = QubitRegister(["A"])
+        bad, inside = (m.astype(complex) for m in self.BAD[kind])
+        stack = np.stack([random_density(1) for _ in range(5)])
+        stack[at] = bad
+        with pytest.raises((NotHermitian, ValueError)) as alone:
+            DensityMatrix(reg, bad)
+        with pytest.raises(type(alone.value)) as stacked:
+            _check_density_stack(stack)
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
+        stack[at] = inside
+        _check_density_stack(stack)
+        DensityMatrix(reg, inside)
+
+    def test_stack_check_reports_first_bad_matrix(self):
+        stack = np.stack([random_density(1) for _ in range(4)])
+        stack[1] = np.diag([0.61, 0.4])
+        stack[3, 0, 1] += 1e-9
+        with pytest.raises(ValueError, match="trace"):
+            _check_density_stack(stack)
 
     def test_unitary_invariant(self):
         reg = QubitRegister(["A"])
