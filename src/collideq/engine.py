@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .tensor import (
     QubitRegister,
     UnitaryOp,
     _check_density_stack,
+    _ptrace_raw,
     embed,
     expm_i_hermitian,
     kron_all,
@@ -54,6 +55,7 @@ SETTING_II = "II"
 
 _PERIPHERAL_TOL = 1e-9      # unit-circle degeneracy threshold
 _FIXED_POINT_TOL = 1e-12    # residual bound for the returned fixed point
+_MAX_DOUBLINGS = 60         # power iteration squarings: up to 2^60 channel applications
 
 _HEISENBERG_2 = -(0.5) * (
     np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y) + np.kron(SIGMA_Z, SIGMA_Z)
@@ -233,14 +235,9 @@ class _StepOps:
         # columns: images of the basis matrices E_ij, 16 at a time so the
         # extended-space stacks stay small
         basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-        images = []
-        for i in range(0, d * d, 16):
-            t = (basis[i:i + 16, :, None, :, None] * self.fresh_state[None, None, :, None, :]
-                 ).reshape(-1, d * f_dim, d * f_dim)
-            t = (u_step @ t @ u_step.conj().T).reshape([-1] + [2] * (2 * ext.n_qubits))
-            for _ in mem:  # the memories sit right after S
-                t = np.trace(t, axis1=2, axis2=2 + (t.ndim - 1) // 2)
-            images.append(t.reshape(-1, d, d))
+        keep = ext.positions(["S", *fresh])
+        images = [_ptrace_raw(u_step @ self.attach(basis[i:i + 16]) @ u_step.conj().T,
+                              ext.n_qubits, keep) for i in range(0, d * d, 16)]
         self.superop = np.concatenate(images).reshape(d * d, d * d).T
 
     @property
@@ -250,6 +247,17 @@ class _StepOps:
     @property
     def system_rows(self) -> np.ndarray:
         return self.readout[:4]
+
+    def attach(self, mats: np.ndarray) -> np.ndarray:
+        """``kron(m, fresh_state)`` for each ``m`` of a stack: one product per entry."""
+        t = mats[..., :, None, :, None] * self.fresh_state[:, None, :]
+        return t.reshape(mats.shape[:-2] + (t.shape[-4] * t.shape[-3],) * 2)
+
+    def propagate(self, v: np.ndarray, n_steps: int) -> Iterator[np.ndarray]:
+        """Yield ``superop @ v`` after each of ``n_steps`` steps (``v``: vec or column block)."""
+        for _ in range(n_steps):
+            v = self.superop @ v
+            yield v
 
     def heats(self, reads: np.ndarray):
         """(q_sa, q_intra_out, q_intra_in) per bath from readouts of pre-step compounds.
@@ -330,7 +338,7 @@ def markovian_step(cfg: ModelConfig, rho_s: DensityMatrix) -> Tuple[DensityMatri
     system beforehand and the compound's memory traced out afterwards.
     """
     ops = _bare_step_ops(cfg)
-    rho_c, q_sa, _, _ = ops.step_with_heat(np.kron(rho_s.mat, ops.fresh_state))
+    rho_c, q_sa, _, _ = ops.step_with_heat(ops.attach(rho_s.mat))
     reduced = (ops.system_rows @ rho_c.reshape(-1)).reshape(2, 2)
     records = tuple(HeatRecord(bath=b, q_sa=float(q_sa[b])) for b in range(cfg.n_baths))
     return DensityMatrix(rho_s.register, reduced), records
@@ -340,8 +348,8 @@ def markovian_channel(cfg: ModelConfig) -> StepChannel:
     """One-collision channel on the system alone (delta = 0)."""
     ops = _bare_step_ops(cfg)
     # columns: vec(E_ij x fresh memories) for the four system basis matrices E_ij
-    attach = np.einsum("xij,kl->ikjlx", np.eye(4).reshape(4, 2, 2), ops.fresh_state)
-    superop = ops.system_rows @ ops.superop @ attach.reshape(-1, 4)
+    attach = ops.attach(np.eye(4, dtype=complex).reshape(4, 2, 2)).reshape(4, -1).T
+    superop = ops.system_rows @ ops.superop @ attach
     return StepChannel(
         register=QubitRegister(["S"]),
         superop=superop,
@@ -349,7 +357,7 @@ def markovian_channel(cfg: ModelConfig) -> StepChannel:
     )
 
 
-def _power_fixed_point(superop: np.ndarray, d: int, max_doublings: int = 60) -> np.ndarray:
+def _power_fixed_point(superop: np.ndarray, d: int) -> np.ndarray:
     """Fixed point by power iteration from the maximally mixed state.
 
     The iteration is accelerated by repeated squaring of the superoperator,
@@ -360,7 +368,7 @@ def _power_fixed_point(superop: np.ndarray, d: int, max_doublings: int = 60) -> 
     trace_vec = np.eye(d, dtype=complex).reshape(-1)
     v = trace_vec / d
     b = superop.copy()
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         w = b @ v
         tr = trace_vec @ w
         if not np.isfinite(tr.real) or abs(tr) < 1e-300:
@@ -382,7 +390,7 @@ def _power_fixed_point(superop: np.ndarray, d: int, max_doublings: int = 60) -> 
     return rho
 
 
-def steady_state(channel: StepChannel, cross_check: bool = True) -> DensityMatrix:
+def steady_state(channel: StepChannel) -> DensityMatrix:
     """Unique fixed point of a trace-preserving one-step channel.
 
     Computed by a bordered solve, eigvals for the spectrum, and a
@@ -416,16 +424,15 @@ def steady_state(channel: StepChannel, cross_check: bool = True) -> DensityMatri
     residual = np.abs(channel.apply(rho) - rho).max()
     if residual > _FIXED_POINT_TOL:
         raise FixedPointError(f"fixed-point residual {residual:.2e} exceeds 1e-12")
-    if cross_check:
-        gap = 1.0 - moduli[1]
-        rho_pi = _power_fixed_point(superop, d)
-        tol = max(1e-12, 100.0 * np.finfo(float).eps / max(gap, 1e-15))
-        dev = np.abs(rho - rho_pi).max()
-        if not dev <= tol:  # written so NaN fails too
-            raise FixedPointError(
-                f"bordered solve and power iteration disagree by {dev:.2e} "
-                f"(tolerance {tol:.2e} at spectral gap {gap:.2e})"
-            )
+    gap = 1.0 - moduli[1]
+    rho_pi = _power_fixed_point(superop, d)
+    tol = max(1e-12, 100.0 * np.finfo(float).eps / max(gap, 1e-15))
+    dev = np.abs(rho - rho_pi).max()
+    if not dev <= tol:  # written so NaN fails too
+        raise FixedPointError(
+            f"bordered solve and power iteration disagree by {dev:.2e} "
+            f"(tolerance {tol:.2e} at spectral gap {gap:.2e})"
+        )
     lam_min = np.linalg.eigvalsh(rho).min()
     if lam_min < -STRUCT_TOL:
         raise NumericalPositivityError(
@@ -485,12 +492,11 @@ def evolve(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int) -> EvolutionRe
     target = gibbs_qubit(cfg.beta, cfg.omega)
 
     # readouts of the compound before every step and after the last one
-    v = np.kron(rho0_s.mat, ops.fresh_state).reshape(-1)
+    v = ops.attach(rho0_s.mat).reshape(-1)
     reads = np.empty((n_steps + 1, ops.readout.shape[0]), dtype=complex)
     reads[0] = ops.readout @ v
-    for n in range(n_steps):
-        v = ops.superop @ v
-        reads[n + 1] = ops.readout @ v
+    for n, v in enumerate(ops.propagate(v, n_steps), 1):
+        reads[n] = ops.readout @ v
 
     times = cfg.dt * np.arange(1, n_steps + 1)
     states = reads[1:, :4].reshape(n_steps, 2, 2)

@@ -115,18 +115,22 @@ def _check_register_matrix(register: QubitRegister, mat: np.ndarray) -> np.ndarr
 def _check_density_stack(mats: np.ndarray) -> None:
     """Check every matrix of a ``(k, d, d)`` stack is a density matrix.
 
-    Hermitian, unit trace and no eigenvalue below zero, each to 1e-10. The
-    first matrix of the stack that fails raises the error of its first
+    Finite, then Hermitian, unit trace and no eigenvalue below zero to 1e-10.
+    The first matrix of the stack that fails raises the error of its first
     failing check: ``NotHermitian``, else ``ValueError``.
     """
-    herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > STRUCT_TOL
-    tr = np.trace(mats, axis1=-2, axis2=-1)
-    unit = np.abs(tr - 1.0) > STRUCT_TOL
-    neg = np.linalg.eigvalsh(mats).min(axis=-1) < -STRUCT_TOL
-    bad = np.flatnonzero(herm | unit | neg)
+    nonfinite = ~np.isfinite(mats).all(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite matrix
+        herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > STRUCT_TOL
+        tr = np.trace(mats, axis1=-2, axis2=-1)
+        unit = np.abs(tr - 1.0) > STRUCT_TOL
+        neg = np.linalg.eigvalsh(mats).min(axis=-1) < -STRUCT_TOL
+    bad = np.flatnonzero(nonfinite | herm | unit | neg)
     if not bad.size:
         return
     k = bad[0]
+    if nonfinite[k]:
+        raise ValueError("density matrix has non-finite (NaN or inf) entries")
     if herm[k]:
         raise NotHermitian("density matrix is not Hermitian to 1e-10")
     if unit[k]:
@@ -199,16 +203,14 @@ def kron_all(*ops: np.ndarray) -> np.ndarray:
 
 
 def _ptrace_raw(mat: np.ndarray, n_qubits: int, keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of a 2^n x 2^n matrix keeping the qubits at ``keep``."""
-    keep = sorted(keep)
+    """Partial trace of (a stack of) 2^n x 2^n matrices keeping the qubits at ``keep``."""
     traced = [q for q in range(n_qubits) if q not in keep]
-    t = mat.reshape([2] * (2 * n_qubits))
+    lead = mat.shape[:-2]
+    t = mat.reshape(lead + (2,) * (2 * n_qubits))
     for offset, q in enumerate(traced):
-        ax = q - offset  # axes shift left as earlier ones are consumed
-        n_cur = t.ndim // 2
-        t = np.trace(t, axis1=ax, axis2=ax + n_cur)
-    d = 2 ** len(keep)
-    return t.reshape(d, d)
+        ax = len(lead) + q - offset  # axes shift left as earlier ones are consumed
+        t = np.trace(t, axis1=ax, axis2=ax + n_qubits - offset)
+    return t.reshape(lead + (2 ** len(keep),) * 2)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:

@@ -101,3 +101,13 @@ class TestGridBehavior:
 def test_default_horizon():
     assert default_n_steps(ModelConfig(beta=2.0, dt=0.01)) == 2000
     assert default_n_steps(ModelConfig(beta=2.0, dt=1e-9)) == 10 ** 6
+
+
+@pytest.mark.parametrize("setting", ["I", "II"])
+def test_default_horizon_sets_series_length(setting):
+    c = cfg(setting, dt=0.5, delta=0.9 * HALF_PI)
+    res = blp_measure(c, grid=(8, 8))
+    assert default_n_steps(c) == 40
+    assert len(res.series) == default_n_steps(c) + 1
+    # the series is the best pair's: it ends at its final distance
+    assert abs(res.series[-1] - res.final_distance) < 1e-14

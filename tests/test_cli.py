@@ -12,6 +12,7 @@ import collideq
 from collideq import cli
 from collideq.cli import Resolved, build_parser, main, read_config_file
 from collideq.engine import StepChannel, steady_state
+from collideq.errors import NonUniqueSteadyState
 from collideq.tensor import QubitRegister
 
 HALF_PI = math.pi / 2
@@ -92,6 +93,30 @@ class TestSteadyState:
         _, _, rows = read_rows(out)
         assert [r["status"] for r in rows] == ["fixed-point-failed", "ok"]
         assert rows[0]["heat_flux"] == "nan"
+
+    def test_nonunique_cell_flagged_not_fatal(self, tmp_path, monkeypatch):
+        def solve(channel):
+            raise NonUniqueSteadyState(3)
+
+        monkeypatch.setattr(cli, "steady_state", solve)
+        out = tmp_path / "ss.csv"
+        code = run_cli(["steady-state", "--setting", "I", "--beta", "2", "--dt", "0.1",
+                        "--out", str(out)])
+        assert code == 1
+        _, _, rows = read_rows(out)
+        assert [r["status"] for r in rows] == ["nonunique:3"]
+        for column in ("g_e", "beta_e", "delta_beta", "heat_flux"):
+            assert rows[0][column] == "nan"
+
+    def test_negativity_setting1_has_only_system_memory_pair(self, tmp_path):
+        out = tmp_path / "neg.csv"
+        code = run_cli(["negativity", "--setting", "I", "--beta", "2", "--dt", "0.1",
+                        "--delta", "0.5", "--out", str(out)])
+        assert code == 0
+        _, _, rows = read_rows(out)
+        assert rows[0]["status"] == "ok"
+        assert math.isfinite(float(rows[0]["n2_s_m0"]))
+        assert [rows[0][c] for c in ("n3", "n2_s_m1", "n2_m0_m1")] == ["nan"] * 3
 
     def test_cold_tiny_dt_cell_ok(self, tmp_path):
         # its fixed point is Gibbs x Gibbs, solved to rounding (see test_engine)
@@ -188,6 +213,21 @@ class TestEcho:
         code = run_cli(["steady-state", flag, "0.1:0.2:0", "--out", str(out)])
         assert code == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_malformed_grid_rejected(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        code = run_cli(["steady-state", "--dt-grid", "0.1:0.2", "--out", str(out)])
+        assert code == 2
+        assert "start:stop:count" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_rejects_setting1(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        code = run_cli(["sweep", "--setting", "I", "--out", str(out)])
+        assert code == 2
+        assert "sweep reports setting II observables" in capsys.readouterr().err
         assert not out.exists()
 
 

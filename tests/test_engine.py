@@ -333,6 +333,34 @@ class TestEmbeddedChannel:
         assert np.array_equal(_step_ops(cfg).step_with_heat(rho)[0],
                               embedded_step_channel(cfg).apply(rho))
 
+    @pytest.mark.parametrize("cfg", [cfg_i(dt=0.1, delta=0.7),
+                                     cfg_ii(beta=0.3, dt=0.3, delta=1.2)], ids=["I", "II"])
+    def test_attach_is_kron_with_fresh_state(self, cfg):
+        from collideq.engine import _step_ops
+
+        ops = _step_ops(cfg)
+        rng = np.random.default_rng(9)
+        for d in (2, ops.compound_dim):
+            x, y = rng.normal(size=(2, 3, 2, d, d))
+            stack = x + 1j * y
+            out = ops.attach(stack)
+            assert out.shape == (3, 2, d * ops.fresh_state.shape[0], d * ops.fresh_state.shape[0])
+            for idx in np.ndindex(3, 2):
+                assert np.array_equal(out[idx], np.kron(stack[idx], ops.fresh_state))
+
+    @pytest.mark.parametrize("cfg", [cfg_i(dt=0.1, delta=0.7),
+                                     cfg_ii(beta=0.3, dt=0.3, delta=1.2)], ids=["I", "II"])
+    def test_propagate_yields_every_step(self, cfg):
+        from collideq.engine import _step_ops
+
+        ops = _step_ops(cfg)
+        v = np.random.default_rng(4).normal(size=(ops.compound_dim ** 2, 3)).astype(complex)
+        steps = list(ops.propagate(v, 4))
+        assert len(steps) == 4
+        for out in steps:
+            v = ops.superop @ v
+            assert np.array_equal(out, v)
+
     def test_completely_positive_choi(self):
         for cfg in (cfg_i(delta=0.8), cfg_ii(delta=0.8, dt=0.05)):
             ch = embedded_step_channel(cfg)
@@ -657,6 +685,17 @@ class TestStackedReadouts:
         object.__setattr__(rho0, "mat", np.diag([1.01, -0.01]).astype(complex))
         with pytest.raises(ValueError, match="eigenvalue below"):
             evolve(make_cfg(dt=0.001, delta=0.5 * HALF_PI), rho0, 50)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the steps
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("make_cfg", [cfg_i, cfg_ii], ids=["I", "II"])
+    def test_non_finite_start_raises(self, make_cfg, value):
+        # a start smuggled past DensityMatrix's checks: every step's state
+        # is non-finite and the stacked check rejects the first
+        rho0 = sys_dm(projector(0))
+        object.__setattr__(rho0, "mat", np.array([[0.5, value], [value, 0.5]], dtype=complex))
+        with pytest.raises(ValueError, match="non-finite"):
+            evolve(make_cfg(delta=0.5 * HALF_PI), rho0, 10)
 
     @pytest.mark.parametrize("make_cfg", [cfg_i, cfg_ii], ids=["I", "II"])
     def test_pure_ground_at_zero_temperature_gives_inf_beta_e(self, make_cfg):

@@ -14,6 +14,7 @@ from collideq.tensor import (
     QubitRegister,
     UnitaryOp,
     _check_density_stack,
+    _ptrace_raw,
     embed,
     eig_hermitian,
     expm_i_hermitian,
@@ -123,6 +124,15 @@ class TestPartialTrace:
             red = partial_trace(evolved, ["B"])
             assert abs(np.trace(red.mat) - 1.0) < 1e-12
             assert np.linalg.eigvalsh(red.mat).min() >= -1e-10
+
+    @pytest.mark.parametrize("keep", [[0], [1], [0, 2], [2, 0, 1]])
+    def test_stacked_raw_trace_matches_per_matrix(self, keep):
+        rng = np.random.default_rng(11)
+        stack = rng.normal(size=(2, 3, 8, 8)) + 1j * rng.normal(size=(2, 3, 8, 8))
+        out = _ptrace_raw(stack, 3, keep)
+        assert out.shape == (2, 3) + (2 ** len(keep),) * 2
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], _ptrace_raw(stack[idx], 3, keep))
 
 
 class TestPartialTranspose:
@@ -296,6 +306,36 @@ class TestValidation:
         stack[1] = np.diag([0.61, 0.4])
         stack[3, 0, 1] += 1e-9
         with pytest.raises(ValueError, match="trace"):
+            _check_density_stack(stack)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+    def test_non_finite_entries_rejected(self, value, where):
+        bad = np.diag([0.5, 0.5]).astype(complex)
+        if where == "diagonal":
+            bad[0, 0] = value
+        else:
+            bad[0, 1] = bad[1, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(QubitRegister(["A"]), bad)
+        rng = np.random.default_rng(5)
+        stack = np.stack([random_density(1, rng) for _ in range(5)])
+        _check_density_stack(stack)
+        for at in (0, 2, 4):
+            broken = stack.copy()
+            broken[at] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                _check_density_stack(broken)
+
+    def test_first_bad_matrix_decides_over_non_finite(self):
+        rng = np.random.default_rng(6)
+        stack = np.stack([random_density(1, rng) for _ in range(4)])
+        stack[1] = np.diag([0.61, 0.4])
+        stack[3, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="trace"):
+            _check_density_stack(stack)
+        stack[0, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
             _check_density_stack(stack)
 
     def test_unitary_invariant(self):

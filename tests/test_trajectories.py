@@ -180,6 +180,19 @@ class TestEnsemble:
         with pytest.raises(InvalidParameter):
             ensemble_mean_heat(cfg_ii(), GROUND_DM, 0, 10, master_seed=1)
 
+    def test_rejects_zero_trajectories(self):
+        with pytest.raises(InvalidParameter):
+            ensemble_mean_heat(cfg_ii(), GROUND_DM, 10, 0, master_seed=1)
+
+    def test_single_trajectory_has_zero_standard_errors(self):
+        cfg = cfg_ii(dt=0.02)
+        stats = ensemble_mean_heat(cfg, MIXED_DM, 25, 1, master_seed=3)
+        assert np.all(stats.std_error == 0.0)
+        assert np.all(stats.se_final_state == 0.0)
+        member = run_trajectory(cfg, MIXED_DM, 25, trajectory_seed(3, 0))
+        assert np.array_equal(stats.mean_heat, member.heats.astype(float))
+        assert np.array_equal(stats.mean_final_state, member.final_system_state.mat)
+
     def test_se_scaling_with_m(self):
         cfg = cfg_ii(dt=0.02)
         small = ensemble_mean_heat(cfg, GROUND_DM, 25, 500, master_seed=5)
