@@ -191,8 +191,13 @@ class _StepOps:
     Heisenberg-picture operator Tr_F[(1 x fresh) W^dag H W], so a heat is a
     difference of two readout values on the pre-step compound.
 
-    The trajectories read ``u_compound``, the Kraus pair ``kraus[birth, o] =
-    <o|_M U_intra |birth>_F`` indexed (F_out, M_in), and ``p_exc``.
+    The trajectories read ``p_exc`` and ``joint``. With the Kraus pair
+    ``A_o[f] = <o|_M U_intra |f>_F`` (indexed F_out, M_in) acting on each
+    bath's memory slot, ``joint[c]`` stacks ``(A_{o_0}[f_0] x A_{o_1}[f_1]
+    ...) U`` over the joint outcomes ``o = (o_0, o_1, ...)`` for the birth
+    combination ``c = (f_0, f_1, ...)``, both read as binary numbers with
+    bath 0 most significant: one step of a ket and every bath's measurement
+    are then one ``(2^n_baths d, d)`` product.
     """
 
     def __init__(self, cfg: ModelConfig):
@@ -202,15 +207,19 @@ class _StepOps:
         ext = self.ext_register = QubitRegister(["S"] + mem + fresh)
 
         if cfg.setting == SETTING_I:
-            self.u_compound = partial_swap(cfg.coupling_j * cfg.dt, ("S", *mem), compound).mat
+            u = partial_swap(cfg.coupling_j * cfg.dt, ("S", *mem), compound).mat
         else:
-            self.u_compound = setting2_unitary(cfg, compound, "S", *mem).mat
+            u = setting2_unitary(cfg, compound, "S", *mem).mat
         self.fresh_state = kron_all(*(cfg.bath_state(b) for b in range(cfg.n_baths)))
         d, f_dim = compound.dim, self.fresh_state.shape[0]
-        self.u_coll = np.kron(self.u_compound, np.eye(f_dim, dtype=complex))
+        self.u_coll = np.kron(u, np.eye(f_dim, dtype=complex))
         intra = intra_bath_unitary(cfg.delta, ("M", "F"), QubitRegister(["M", "F"])).mat
         # (M_out, F_out, M_in, F_in) -> (F_in, M_out, F_out, M_in)
-        self.kraus = intra.reshape(2, 2, 2, 2).transpose(3, 0, 1, 2)
+        kraus = intra.reshape(2, 2, 2, 2).transpose(3, 0, 1, 2)
+        # np.kron joins all four axes (birth, outcome, F_out, M_in) bath by
+        # bath, bath 0 most significant; kron(1_S, .) lifts them to the compound
+        memories = kron_all(*[kraus] * cfg.n_baths)
+        self.joint = (np.kron(np.eye(2), memories) @ u).reshape(len(memories), -1, d)
         u_intra = np.eye(ext.dim, dtype=complex)
         for m, f in zip(mem, fresh):
             u_intra = u_intra @ embed(intra, (m, f), ext)

@@ -11,13 +11,20 @@ propagate as a batched stack of (S, M...) kets. A mixed initial system state
 is unravelled into the eigenstates of rho0, each trajectory starting in one
 of them with probability equal to its eigenvalue.
 
-Per step and bath, the sequence "attach a fresh unit, intra-collide it with
-the outgoing memory, measure the memory, discard it" is applied as a
-two-outcome Kraus pair A_o = <o|_M U_intra |birth>_F: two broadcast
-multiply-adds over the memory's axis of the ket form both branches, which is
-algebraically identical to forming the enlarged window but never leaves the
-system+memory dimension. The products are elementwise and the collision is a
-stacked matmul, so a trajectory rounds the same at every batch size.
+Per step, the sequence "collide the system with the memories, then for each
+bath attach a fresh unit, intra-collide it with the outgoing memory, measure
+the memory and discard it" is one linear map per joint outcome: the Kraus
+pair A_o = <o|_M U_intra |birth>_F of every bath, applied after the
+collision. The collision core stacks these maps over the joint outcomes, so
+one batched matmul forms every branch of a ket without leaving the
+system+memory dimension. The baths are then sampled in order, from the
+same variate slots as one bath at a time: bath 0 from its marginal Born
+weights, each later bath from its conditional given the earlier outcomes.
+Each bath's weights are one contraction over the branches that share the
+earlier outcomes, and the branch chosen last is kept. The births do not
+depend on the state and are drawn for all steps up front. Every product
+and sum is per trajectory, so a trajectory rounds the same at every batch
+size.
 
 Randomness is counter-based: trajectory k of an ensemble draws from a Philox
 stream keyed by a seed derived from (master_seed, k), and every variate has a
@@ -62,8 +69,13 @@ def _uniform_tables(seeds, n_steps: int, n_baths: int) -> np.ndarray:
     slots stay allocated so the layout never shifts.
     """
     out = np.empty((len(seeds), n_steps + 1, n_baths, 2))
+    # one Philox re-keyed per trajectory: the same stream as a fresh
+    # Generator(Philox(key=seed)), without building one per trajectory
+    bits = np.random.Philox(key=0)
+    gen, fresh = np.random.Generator(bits), bits.state  # zero counter, empty buffer
     for i, seed in enumerate(seeds):
-        gen = np.random.Generator(np.random.Philox(key=int(seed)))
+        fresh["state"]["key"] = np.array(divmod(int(seed), 1 << 64)[::-1], np.uint64)
+        bits.state = fresh
         out[i] = gen.random((n_steps + 1, n_baths, 2))
     return out
 
@@ -95,7 +107,8 @@ class EnsembleStats:
 
 
 def _check_probs(p: np.ndarray):
-    if p.min() < -_PROB_TOL or p.max() > 1.0 + _PROB_TOL:
+    # min and max propagate NaN, which fails both comparisons
+    if not (p.min() >= -_PROB_TOL and p.max() <= 1.0 + _PROB_TOL):
         raise NumericalPositivityError(
             f"Born probabilities outside [0,1]: range [{p.min()}, {p.max()}]"
         )
@@ -119,28 +132,37 @@ def _initial_kets(rho0_s: np.ndarray, births: np.ndarray, uniforms) -> np.ndarra
 def _run_batch(cfg: ModelConfig, rho0_s: np.ndarray, n_steps: int, seeds) -> Tuple:
     """Propagate a batch of trajectories; returns (outcomes, heats, finals)."""
     ops = _step_ops(cfg)
-    b = len(seeds)
-    tables = _uniform_tables(seeds, n_steps, cfg.n_baths)
+    b, nb = len(seeds), cfg.n_baths
+    tables = _uniform_tables(seeds, n_steps, nb)
     rows = np.arange(b)
 
-    births = _sample(tables[:, 0, :, _SLOT_BIRTH], ops.p_exc)
-    psi = _initial_kets(rho0_s, births, tables[:, 0, 0, _SLOT_EIGEN]).reshape(b, -1)
-    outcomes = np.empty((b, n_steps, cfg.n_baths, 2), dtype=np.int8)
+    births = _sample(tables[..., _SLOT_BIRTH], ops.p_exc)
+    psi = _initial_kets(rho0_s, births[:, 0], tables[:, 0, 0, _SLOT_EIGEN]).reshape(b, -1)
+    outcomes = np.empty((b, n_steps, nb, 2), dtype=np.int8)
+    outcomes[..., 0] = births[:, :-1]
+    # birth combination of the units attached during each step, bath 0 most significant
+    combos = births[:, 1:, 0]
+    for k in range(1, nb):
+        combos = 2 * combos + births[:, 1:, k]
+    shared = ops.joint[combos[0, 0]] if (combos == combos[0, 0]).all() else None
     for n in range(n_steps):
-        # stacked: one (B, d) @ (d, d) product would round by batch size
-        psi = np.matmul(ops.u_compound, psi.reshape(b, -1, 1)).reshape(b, -1)
-        outcomes[:, n, :, 0] = births
-        births = _sample(tables[:, n + 1, :, _SLOT_BIRTH], ops.p_exc)
-        for k in range(cfg.n_baths):
-            # memory k as axis m of (B, o, pre, f, m, post); branches are (B, o, pre, f, post)
-            kr = ops.kraus[births[:, k]].reshape(b, 2, 1, 2, 2, 1)
-            v = psi.reshape(b, 1, 2 ** (1 + k), 1, 2, -1)
-            branches = kr[:, :, :, :, 0] * v[:, :, :, :, 0] + kr[:, :, :, :, 1] * v[:, :, :, :, 1]
-            p = (branches.real ** 2 + branches.imag ** 2).reshape(b, 2, -1).sum(axis=2)
+        g = shared if shared is not None else ops.joint[combos[:, n]]
+        # stacked: one (B, d) @ (d, P) product would round by batch size
+        branches = np.matmul(g, psi[:, :, None])
+        # bath k: the branches that share the earlier outcomes, (B, o_k, rest)
+        norm = None
+        for k in range(nb):
+            branches = branches.reshape(b, 2, -1)
+            x = branches.view(float)
+            marginal = np.einsum("bor,bor->bo", x, x)
+            # bath 0's marginal unnormalized, later baths' conditionals
+            p = marginal if norm is None else marginal / norm[:, None]
             _check_probs(p)
             second = _sample(tables[:, n + 1, k, _SLOT_MEASURE], p[:, EXCITED])
             outcomes[:, n, k, 1] = second
-            psi = branches[rows, second].reshape(b, -1) / np.sqrt(p[rows, second, None])
+            branches, norm = branches[rows, second], marginal[rows, second]
+        # divided as floats: dividing the complex array would promote the divisor
+        psi = (branches.view(float) / np.sqrt(norm)[:, None]).view(complex)
 
     heats = cfg.omega * (outcomes[..., 0].astype(float) - outcomes[..., 1])
     psi = psi.reshape(b, 2, -1)
@@ -153,6 +175,8 @@ def run_trajectory(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int,
     """Single seeded trajectory; bit-identical to the same ensemble member."""
     if n_steps < 1:
         raise InvalidParameter("n_steps must be at least 1")
+    if not 0 <= seed < 1 << 128:
+        raise InvalidParameter(f"seed must lie in [0, 2**128) (got {seed})")
     outcomes, heats, finals = _run_batch(cfg, rho0_s.mat, n_steps, [seed])
     final = DensityMatrix(QubitRegister(["S"]), finals[0])
     return TrajectoryRecord(seed=int(seed), outcomes=outcomes[0], heats=heats[0],

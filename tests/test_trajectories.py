@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from collideq.engine import (
     partial_swap,
     setting2_unitary,
 )
-from collideq.errors import InvalidParameter
+from collideq.errors import InvalidParameter, NumericalPositivityError
 from collideq.tensor import (
     EXCITED,
     GROUND,
@@ -25,6 +26,7 @@ from collideq.tensor import (
 from collideq.trajectories import (
     EnsembleStats,
     TrajectoryRecord,
+    _check_probs,
     _run_batch,
     _uniform_tables,
     ensemble_mean_heat,
@@ -117,6 +119,11 @@ class TestSingleTrajectory:
     def test_rejects_zero_steps(self):
         with pytest.raises(InvalidParameter):
             run_trajectory(cfg_ii(), GROUND_DM, 0, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_rejects_seed_outside_philox_key(self, seed):
+        with pytest.raises(InvalidParameter):
+            run_trajectory(cfg_ii(), GROUND_DM, 5, seed=seed)
 
 
 class TestEnsemble:
@@ -290,3 +297,110 @@ def test_fig5_outcomes_pinned(start):
     outcomes = _run_batch(cfg, rho0.mat, 100, seeds)[0]
     assert outcomes.dtype == np.int8 and outcomes.shape == (64, 100, 2, 2)
     assert hashlib.sha256(outcomes.tobytes()).hexdigest() == GOLDEN_OUTCOMES[start]
+
+
+@pytest.mark.parametrize("p", [
+    [[math.nan, 0.5], [0.5, 0.5]],
+    [[0.5, 0.5], [0.5, math.nan]],
+    [[math.inf, 0.0], [0.5, 0.5]],
+    [[-math.inf, 1.0], [0.5, 0.5]],
+    [[-2e-10, 1.0], [0.5, 0.5]],
+    [[0.0, 1.0 + 2e-10], [0.5, 0.5]],
+], ids=["nan", "nan-last", "inf", "-inf", "below", "above"])
+def test_check_probs_rejects_nonfinite_and_out_of_range(p):
+    with pytest.raises(NumericalPositivityError):
+        _check_probs(np.array(p))
+
+
+def test_check_probs_keeps_its_bounds():
+    _check_probs(np.array([[-1e-10, 1.0 + 1e-10], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("n_steps, n_baths", [(4, 1), (7, 2), (100, 2)])
+def test_uniform_tables_equal_fresh_philox_generators(n_steps, n_baths):
+    # 4 x 1 leaves Philox words buffered between trajectories; seeds above
+    # 2**64 use the key's high word
+    seeds = [0, 1, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 3] + [trajectory_seed(4, k) for k in range(45)]
+    tables = _uniform_tables(seeds, n_steps, n_baths)
+    for seed, table in zip(seeds, tables):
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        assert np.array_equal(table, gen.random((n_steps + 1, n_baths, 2)))
+
+
+def ket(index):
+    return np.eye(2, dtype=complex)[:, [index]]
+
+
+def sequential_joint_block(cfg, births, outs):
+    """One step's operator for one birth combination and joint outcome, bath by bath.
+
+    The collision acts on the labelled (S, M...) register. Then for each
+    bath in turn a fresh unit F is attached in its birth state, collides
+    with memory k, memory k is projected on its outcome and F is moved into
+    memory k's place: every map is an explicit kron or a labelled operator.
+    """
+    mems = ["M"] if cfg.n_baths == 1 else ["M0", "M1"]
+    reg = QubitRegister(["S", *mems])
+    if cfg.setting == "I":
+        op = partial_swap(cfg.coupling_j * cfg.dt, ("S", "M"), reg).mat
+    else:
+        op = setting2_unitary(cfg, reg, "S", *mems).mat
+    for k, mem in enumerate(mems):
+        ext = QubitRegister(["S", *mems, "F"])
+        attach = np.kron(np.eye(reg.dim), ket(births[k]))
+        collide = intra_bath_unitary(cfg.delta, (mem, "F"), ext).mat
+        measure = kron_all(*(ket(outs[k]).conj().T if label == mem else np.eye(2)
+                             for label in ext.labels))
+        # qubits left as (S, other memories, F); F takes memory k's slot
+        left = ["S", *(m for m in mems if m != mem), "F"]
+        place = ["S", *("F" if m == mem else m for m in mems)]
+        move = np.zeros((reg.dim, reg.dim))
+        for bits in itertools.product(range(2), repeat=reg.n_qubits):
+            value = dict(zip(left, bits))
+            move[int("".join(str(value[q]) for q in place), 2), int("".join(map(str, bits)), 2)] = 1
+        op = move @ measure @ collide @ attach @ op
+    return op
+
+
+@pytest.mark.parametrize("cfg", [
+    ModelConfig(beta=0.5, dt=0.3, delta=0.6, setting="I"),
+    ModelConfig(beta=2.0, dt=0.05, delta=0.95 * HALF_PI, setting="I"),
+    ModelConfig(beta=0.5, dt=0.3, delta=0.6, setting="II"),
+    ModelConfig(beta=1.0, dt=0.1, delta=0.95 * HALF_PI, setting="II"),
+], ids=["I", "I-fig5", "II", "II-fig5"])
+def test_joint_operator_matches_sequential_product(cfg):
+    from collideq.engine import _step_ops
+
+    joint = _step_ops(cfg).joint
+    nb, d = cfg.n_baths, 2 ** (1 + cfg.n_baths)
+    binary = list(itertools.product(range(2), repeat=nb))
+    assert joint.shape == (2 ** nb, 2 ** nb * d, d)
+    for c, births in enumerate(binary):
+        blocks = joint[c].reshape(2 ** nb, d, d)
+        for o, outs in enumerate(binary):
+            expected = sequential_joint_block(cfg, births, outs)
+            assert np.abs(blocks[o] - expected).max() <= 1e-14
+        # the joint outcomes of one birth combination are a complete measurement
+        completeness = np.einsum("oji,ojk->ik", blocks.conj(), blocks)
+        assert np.abs(completeness - np.eye(d)).max() <= 1e-14
+
+
+# batch sizes and the offset of trajectory k inside each batch
+BATCHES = [(1, 0), (2, 1), (3, 0), (3, 2), (7, 3), (7, 6), (400, 200)]
+
+
+@pytest.mark.parametrize("cfg", [cfg_i(beta=0.5, dt=0.3, delta=0.6),
+                                 cfg_ii(beta=0.5, dt=0.3, delta=0.6)], ids=["I", "II"])
+@pytest.mark.parametrize("rho0", [GROUND_DM, MIXED_DM], ids=["ground", "mixed"])
+def test_trajectory_independent_of_batch_size_and_offset(cfg, rho0):
+    # SIMD tails and BLAS blocking must not make a trajectory's rounding
+    # depend on its neighbours or on the batch's length
+    k = 200
+    seeds = [trajectory_seed(13, j) for j in range(400)]
+    runs = [_run_batch(cfg, rho0.mat, 40, seeds[k - offset:k - offset + size])
+            for size, offset in BATCHES]
+    outcomes, _, finals = runs[0]
+    assert set(np.unique(outcomes[0, :, :, 1])) == {EXCITED, GROUND}
+    for (_, offset), (out, _, fin) in zip(BATCHES[1:], runs[1:]):
+        assert np.array_equal(out[offset], outcomes[0])
+        assert np.array_equal(fin[offset], finals[0])
