@@ -279,6 +279,8 @@ class Resolved:
         if self.steps is not None and self.steps < 1:
             raise InvalidParameter(f"steps must be at least 1 (got {self.steps})")
         self.t_final = values.get("t_final")
+        if self.t_final is not None and not 0 < self.t_final < math.inf:
+            raise InvalidParameter(f"t_final must be positive and finite (got {self.t_final})")
         self.traj_list = _as_list(values["traj"]) if "traj" in values else None
         self.rho0_name = values.get("rho0")
         self.settings = _as_list(values.get("setting", ["I", "II"]))

@@ -43,7 +43,6 @@ from .tensor import (
     QubitRegister,
     UnitaryOp,
     _check_density_stack,
-    _ptrace_raw,
     embed,
     expm_i_hermitian,
     kron_all,
@@ -80,14 +79,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.setting not in (SETTING_I, SETTING_II):
             raise InvalidParameter(f"setting must be 'I' or 'II', got {self.setting!r}")
-        if not self.dt > 0:
-            raise InvalidParameter(f"dt must be positive (got {self.dt})")
+        for name in ("dt", "gamma", "omega"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InvalidParameter(f"{name} must be positive and finite (got {value})")
         if not (0.0 <= self.delta < math.pi / 2):
             raise InvalidParameter(f"delta must lie in [0, pi/2) (got {self.delta})")
-        if not self.gamma > 0:
-            raise InvalidParameter(f"gamma must be positive (got {self.gamma})")
-        if not self.omega > 0:
-            raise InvalidParameter(f"omega must be positive (got {self.omega})")
         if not self.beta > 0:
             raise InvalidParameter(f"beta must be positive (got {self.beta})")
 
@@ -177,42 +174,42 @@ def setting2_unitary(cfg: ModelConfig, register: QubitRegister,
 class _StepOps:
     """The collision core of one configuration, the only place its step is built.
 
-    The collision is built on the compound register (S, M...) and lifted as
-    ``kron(u, I_F)`` to the extended register, whose fresh-ancilla labels
-    trail, one per bath. The engineered full SWAP plus trace over the
-    swapped-out qubit is realized as a trace over the memory positions (the
-    two compositions are identical maps).
+    The collision ``u_compound`` acts on the compound register (S, M...).
+    Each bath's intra collision then meets a fresh unit in state ``f`` and
+    leaves its memory measured in outcome ``o``; the engineered full SWAP
+    makes the fresh unit the next memory. So the step is a Kraus stack on
+    the compound alone: with the pair ``A_o[f] = <o|_M U_intra |f>_F``
+    (indexed F_out, M_in) on each bath's memory slot, ``joint[c]`` stacks
+    ``K_{c,o} = (A_{o_0}[f_0] x A_{o_1}[f_1] ...) U`` over the joint outcomes
+    ``o = (o_0, o_1, ...)`` for the birth combination ``c = (f_0, f_1, ...)``,
+    both read as binary numbers with bath 0 most significant. A
+    trajectory's step and every bath's measurement are one
+    ``(2^n_baths d, d)`` product with it; the trajectories also read
+    ``p_exc``.
 
-    ``superop`` is the step channel on the row-major vec(compound), and
-    ``readout`` holds rows on the same vector. Rows 0-3 give the system
-    marginal (entries 00, 01, 10, 11). Then, per bath, four energy rows: the
-    memory before the system collision, after it and after the intra
-    collision, and the fresh unit after the intra collision. Each is the
-    Heisenberg-picture operator Tr_F[(1 x fresh) W^dag H W], so a heat is a
-    difference of two readout values on the pre-step compound.
-
-    The trajectories read ``p_exc`` and ``joint``. With the Kraus pair
-    ``A_o[f] = <o|_M U_intra |f>_F`` (indexed F_out, M_in) acting on each
-    bath's memory slot, ``joint[c]`` stacks ``(A_{o_0}[f_0] x A_{o_1}[f_1]
-    ...) U`` over the joint outcomes ``o = (o_0, o_1, ...)`` for the birth
-    combination ``c = (f_0, f_1, ...)``, both read as binary numbers with
-    bath 0 most significant: one step of a ket and every bath's measurement
-    are then one ``(2^n_baths d, d)`` product.
+    Every fresh state is diagonal, so the channel is
+    ``sum_c p_c sum_o K_{c,o} x conj(K_{c,o})`` with ``p_c`` the diagonal of
+    ``fresh_state``. ``superop`` is that channel on the row-major
+    vec(compound), and ``readout`` holds rows on the same vector. Rows 0-3
+    give the system marginal (entries 00, 01, 10, 11). Then, per bath, four
+    energy rows: the memory before the system collision (``H_m``), after it
+    (``U^dag H_m U``), the outgoing memory after the intra collision
+    (``sum p_c e_{o_b} K^dag K``) and the new memory
+    (``sum p_c K^dag H_m K``), so a heat is a difference of two readout
+    values on the pre-step compound.
     """
 
     def __init__(self, cfg: ModelConfig):
         mem = ["M"] if cfg.n_baths == 1 else [f"M{b}" for b in range(cfg.n_baths)]
-        fresh = ["F" + m[1:] for m in mem]
         compound = self.compound_register = QubitRegister(["S"] + mem)
-        ext = self.ext_register = QubitRegister(["S"] + mem + fresh)
 
         if cfg.setting == SETTING_I:
             u = partial_swap(cfg.coupling_j * cfg.dt, ("S", *mem), compound).mat
         else:
             u = setting2_unitary(cfg, compound, "S", *mem).mat
+        self.u_compound = u
         self.fresh_state = kron_all(*(cfg.bath_state(b) for b in range(cfg.n_baths)))
-        d, f_dim = compound.dim, self.fresh_state.shape[0]
-        self.u_coll = np.kron(u, np.eye(f_dim, dtype=complex))
+        d = compound.dim
         intra = intra_bath_unitary(cfg.delta, ("M", "F"), QubitRegister(["M", "F"])).mat
         # (M_out, F_out, M_in, F_in) -> (F_in, M_out, F_out, M_in)
         kraus = intra.reshape(2, 2, 2, 2).transpose(3, 0, 1, 2)
@@ -220,34 +217,27 @@ class _StepOps:
         # bath, bath 0 most significant; kron(1_S, .) lifts them to the compound
         memories = kron_all(*[kraus] * cfg.n_baths)
         self.joint = (np.kron(np.eye(2), memories) @ u).reshape(len(memories), -1, d)
-        u_intra = np.eye(ext.dim, dtype=complex)
-        for m, f in zip(mem, fresh):
-            u_intra = u_intra @ embed(intra, (m, f), ext)
-        self.u_intra = u_intra
-        self.u_step = u_step = u_intra @ self.u_coll
         pops = np.array([cfg.bath_state(b).diagonal().real for b in range(cfg.n_baths)])
         self.p_exc = pops[:, 0]
         self.fresh_energies = 0.5 * cfg.omega * (pops[:, 0] - pops[:, 1])
 
-        def row(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-            o = (w.conj().T @ h @ w).reshape(d, f_dim, d, f_dim)
-            return np.einsum("ikjl,lk->ji", o, self.fresh_state).reshape(-1)
+        # every fresh state is diagonal: the step is sum_c p_c sum_o K_co x conj(K_co)
+        p = self.fresh_state.diagonal().real
+        k = self.joint.reshape(len(p), -1, d, d)
+        self.superop = np.einsum("c,coai,cobj->ijab", p, k, k.conj()).reshape(d * d, d * d).T
 
         h_qubit = 0.5 * cfg.omega * SIGMA_Z
-        one = np.eye(ext.dim)
+        energies = []
+        for m in mem:
+            h_m = embed(h_qubit, [m], compound)
+            # energy of bath m's outgoing memory in each joint outcome o
+            e_out = embed(h_qubit, [m], QubitRegister(mem)).diagonal().real
+            energies += [h_m, u.conj().T @ h_m @ u,
+                         np.einsum("c,o,coai,coaj->ij", p, e_out, k.conj(), k),
+                         np.einsum("c,coai,ab,cobj->ij", p, k.conj(), h_m, k)]
+        # Tr[O rho] is the row O^T on the row-major vec(rho)
         rows = [np.kron(e, np.eye(d // 2)).reshape(-1) for e in np.eye(4).reshape(4, 2, 2)]
-        for m, f in zip(mem, fresh):
-            h_m, h_f = embed(h_qubit, [m], ext), embed(h_qubit, [f], ext)
-            rows += [row(h_m, one), row(h_m, self.u_coll), row(h_m, u_step), row(h_f, u_step)]
-        self.readout = np.array(rows, dtype=complex)
-
-        # columns: images of the basis matrices E_ij, 16 at a time so the
-        # extended-space stacks stay small
-        basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-        keep = ext.positions(["S", *fresh])
-        images = [_ptrace_raw(u_step @ self.attach(basis[i:i + 16]) @ u_step.conj().T,
-                              ext.n_qubits, keep) for i in range(0, d * d, 16)]
-        self.superop = np.concatenate(images).reshape(d * d, d * d).T
+        self.readout = np.array(rows + [o.T.reshape(-1) for o in energies], dtype=complex)
 
     @property
     def compound_dim(self) -> int:
@@ -258,7 +248,10 @@ class _StepOps:
         return self.readout[:4]
 
     def attach(self, mats: np.ndarray) -> np.ndarray:
-        """``kron(m, fresh_state)`` for each ``m`` of a stack: one product per entry."""
+        """Compounds ``kron(m, fresh_state)``: fresh memories for each system matrix ``m`` of a stack.
+
+        One product per entry, bit-identical to ``kron``.
+        """
         t = mats[..., :, None, :, None] * self.fresh_state[:, None, :]
         return t.reshape(mats.shape[:-2] + (t.shape[-4] * t.shape[-3],) * 2)
 

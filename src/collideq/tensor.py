@@ -109,6 +109,8 @@ def _check_register_matrix(register: QubitRegister, mat: np.ndarray) -> np.ndarr
         raise DimensionMismatch(
             f"matrix shape {mat.shape} does not match register dimension {register.dim}"
         )
+    if not np.isfinite(mat).all():  # NaN passes every tolerance comparison
+        raise ValueError("matrix has non-finite (NaN or inf) entries")
     return mat
 
 

@@ -207,6 +207,23 @@ class TestEcho:
         assert "steps" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_final", ["0", "-3", "inf", "nan"])
+    def test_non_positive_t_final_rejected(self, tmp_path, capsys, t_final):
+        out = tmp_path / "o.csv"
+        code = run_cli(["dynamics", "--t-final", t_final, "--out", str(out)])
+        assert code == 2
+        assert "t_final" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [("heat", "--dt"), ("blp", "--gamma"),
+                                               ("steady-state", "--omega")])
+    def test_infinite_parameter_rejected(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "o.csv"
+        code = run_cli([command, flag, "inf", "--out", str(out)])
+        assert code == 2
+        assert f"{flag[2:]} must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--dt-grid", "--delta-grid"])
     def test_zero_count_grid_rejected(self, tmp_path, capsys, flag):
         out = tmp_path / "o.csv"

@@ -86,6 +86,13 @@ class TestConfig:
         with pytest.raises(InvalidParameter):
             ModelConfig(beta=2.0, dt=0.1, setting="III")
 
+    @pytest.mark.parametrize("name", ["dt", "gamma", "omega"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rates_and_frequency_must_be_finite(self, name, value):
+        kwargs = {"beta": 1.0, "dt": 0.1, "setting": "II", "delta": 0.3, name: value}
+        with pytest.raises(InvalidParameter, match=name):
+            ModelConfig(**kwargs)
+
     def test_bath_states(self):
         c = cfg_ii(beta=2.0, dt=0.01)
         assert np.allclose(c.bath_state(0), np.diag([0.0, 1.0]))  # ground bath
@@ -185,21 +192,13 @@ class TestUnitaries:
         with pytest.raises(InvalidParameter):
             setting2_unitary(cfg_i(), reg, "S", "A0", "A1")
 
-    def test_every_step_unitary_is_unitary(self):
-        from collideq.engine import _StepOps
-
-        for cfg in (cfg_i(delta=0.7), cfg_ii(delta=0.7), cfg_i(beta=math.inf, delta=0.3)):
-            ops = _StepOps(cfg)
-            u = ops.u_intra @ ops.u_coll
-            assert np.abs(u @ u.conj().T - np.eye(ops.ext_register.dim)).max() < 1e-10
-
     @staticmethod
     def _compound_hamiltonian(cfg):
         reg = QubitRegister(["S", "M0", "M1"])
         return (heisenberg_interaction(cfg.coupling_j0, ("S", "M0"), reg).mat
                 + heisenberg_interaction(cfg.coupling_j1, ("S", "M1"), reg).mat)
 
-    def test_collision_is_the_compound_unitary_lifted_by_kron(self):
+    def test_collision_is_the_compound_unitary(self):
         from collideq.engine import _StepOps
 
         for cfg in (cfg_i(beta=0.7, dt=0.08, delta=0.4), cfg_i(beta=math.inf, dt=0.3),
@@ -208,8 +207,7 @@ class TestUnitaries:
                 u = partial_swap(cfg.coupling_j * cfg.dt, ("S", "M"), QubitRegister(["S", "M"])).mat
             else:
                 u = expm_i_hermitian(self._compound_hamiltonian(cfg), cfg.dt)
-            f_dim = 2 ** cfg.n_baths
-            assert np.array_equal(_StepOps(cfg).u_coll, np.kron(u, np.eye(f_dim)))
+            assert np.array_equal(_StepOps(cfg).u_compound, u)
 
     @pytest.mark.parametrize("beta", [0.5, 2.0, 40.0])
     @pytest.mark.parametrize("dt", [1.25e-3, 0.01, 0.1, 0.5])
@@ -222,7 +220,7 @@ class TestUnitaries:
         with mpmath.workdps(40):
             exact = mpmath.expm(mpmath.matrix(self._compound_hamiltonian(cfg)) * (-1j * mpmath.mpf(dt)))
             u = np.array(exact.tolist(), dtype=complex)
-        assert np.abs(_StepOps(cfg).u_coll - np.kron(u, np.eye(4))).max() <= 1e-15
+        assert np.abs(_StepOps(cfg).u_compound - u).max() <= 1e-15
 
 
 class TestMarkovianStep:
@@ -308,18 +306,33 @@ class TestEmbeddedChannel:
 
     @pytest.mark.parametrize("cfg", [cfg_i(dt=0.1, delta=0.7),
                                      cfg_ii(beta=0.3, dt=0.3, delta=1.2)], ids=["I", "II"])
-    def test_batch_matches_per_matrix_conjugation(self, cfg):
+    def test_superop_matches_explicit_ancilla_conjugation(self, cfg):
+        # oracle from the public unitaries on (S, M..., F...): the compound
+        # collision lifted by kron, then each bath's intra collision; the
+        # memories are traced out and the fresh units become the new ones
         from collideq.engine import _StepOps
         from collideq.tensor import _ptrace_raw
 
-        ops = _StepOps(cfg)
-        d = ops.compound_dim
-        n = ops.ext_register.n_qubits
-        keep = [q for q, label in enumerate(ops.ext_register.labels) if not label.startswith("M")]
-        for idx, m in enumerate(np.eye(d * d, dtype=complex).reshape(d * d, d, d)):
-            ref = _ptrace_raw(ops.u_step @ np.kron(m, ops.fresh_state) @ ops.u_step.conj().T,
-                              n, keep)
-            assert np.array_equal(ops.superop[:, idx].reshape(d, d), ref)
+        mem = ["M"] if cfg.n_baths == 1 else ["M0", "M1"]
+        fresh = ["F" + m[1:] for m in mem]
+        compound, ext = QubitRegister(["S"] + mem), QubitRegister(["S"] + mem + fresh)
+        if cfg.setting == "I":
+            u = partial_swap(cfg.coupling_j * cfg.dt, ("S", "M"), compound).mat
+        else:
+            u = setting2_unitary(cfg, compound, "S", *mem).mat
+        step = np.kron(u, np.eye(2 ** cfg.n_baths))
+        for m, f in zip(mem, fresh):
+            step = intra_bath_unitary(cfg.delta, (m, f), ext).mat @ step
+        tau = kron_all(*(cfg.bath_state(b) for b in range(cfg.n_baths)))
+        keep = ext.positions(["S"] + fresh)
+        d = compound.dim
+        columns = _StepOps(cfg).superop.T.reshape(d * d, d, d)
+        ref = np.array([_ptrace_raw(step @ np.kron(m, tau) @ step.conj().T, ext.n_qubits, keep)
+                        for m in np.eye(d * d, dtype=complex).reshape(d * d, d, d)])
+        if cfg.setting == "I":
+            assert np.array_equal(columns, ref)
+        else:
+            assert np.abs(columns - ref).max() <= 1e-15
 
     @pytest.mark.parametrize("cfg", [cfg_i(dt=0.1, delta=0.7),
                                      cfg_ii(beta=0.3, dt=0.3, delta=1.2)], ids=["I", "II"])

@@ -344,3 +344,22 @@ class TestValidation:
             UnitaryOp(reg, np.diag([1.0, 2.0]))
         u = UnitaryOp(reg, expm_i_hermitian(SIGMA_X, 0.3))
         assert np.abs(u.mat @ u.mat.conj().T - np.eye(2)).max() < 1e-10
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_unitary_rejects_non_finite_entries(self, value):
+        # a NaN deviation passes the 1e-10 comparison, so finiteness is checked first
+        with pytest.raises(ValueError, match="non-finite"):
+            UnitaryOp(QubitRegister(["A"]), np.full((2, 2), value))
+        bad = np.eye(2, dtype=complex)
+        bad[0, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            UnitaryOp(QubitRegister(["A"]), bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_hermitian_rejects_non_finite_entries(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            HermitianOp(QubitRegister(["A"]), np.full((2, 2), value))
+        bad = SIGMA_X.copy()
+        bad[1, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            HermitianOp(QubitRegister(["A"]), bad)
