@@ -257,17 +257,19 @@ class Resolved:
         if "delta_grid" in given:
             a, b, n = given["delta_grid"]
             values["delta_grid"] = (a * scale, b * scale, n)
-        # a value and its grid are one axis, taken from the highest source
-        # that sets either; one source setting both is rejected
+        # a value and its grid are one axis, and so are steps and t_final:
+        # taken from the highest source that sets either; one source setting
+        # both is rejected
         sources = (("the command line", flags, _flag),
                    (f"config file {args.config}", fileconf, str),
                    (f"preset {self.preset_name}", preset, str))
-        for unit in (("dt", "dt_grid"), ("delta", "delta_grid"), ("r", "r_list")):
+        for unit in (("dt", "dt_grid"), ("delta", "delta_grid"), ("r", "r_list"),
+                     ("steps", "t_final")):
             set_by = [src.keys() & set(unit) for _, src, _ in sources]
             for (label, _, name), names in zip(sources, set_by):
                 if len(names) == 2:
                     raise CollideqError(f"{label} sets both {name(unit[0])} and {name(unit[1])}; "
-                                        "give a value or a list, not both")
+                                        "give one of them")
             top = next((names for names in set_by if names), set(unit))
             for name in set(unit) - top:
                 values.pop(name, None)

@@ -191,12 +191,12 @@ class _StepOps:
     ``sum_c p_c sum_o K_{c,o} x conj(K_{c,o})`` with ``p_c`` the diagonal of
     ``fresh_state``. ``superop`` is that channel on the row-major
     vec(compound), and ``readout`` holds rows on the same vector. Rows 0-3
-    give the system marginal (entries 00, 01, 10, 11). Then, per bath, four
-    energy rows: the memory before the system collision (``H_m``), after it
-    (``U^dag H_m U``), the outgoing memory after the intra collision
-    (``sum p_c e_{o_b} K^dag K``) and the new memory
-    (``sum p_c K^dag H_m K``), so a heat is a difference of two readout
-    values on the pre-step compound.
+    give the system marginal (entries 00, 01, 10, 11). Each bath then has
+    three heat rows, one operator each on the pre-step compound: ``q_sa =
+    U^dag H_m U - H_m``, ``q_intra_out = after(E_out x 1) - U^dag H_m U`` and
+    the next unit's ``q_intra_in = after(1 x H_m) - e_fresh 1``, where
+    ``after(x) = sum_c p_c J_c^dag x J_c`` reads ``x`` (on joint outcome and
+    compound) after the step and ``E_out`` is the outgoing memory's energy.
     """
 
     def __init__(self, cfg: ModelConfig):
@@ -219,25 +219,26 @@ class _StepOps:
         self.joint = (np.kron(np.eye(2), memories) @ u).reshape(len(memories), -1, d)
         pops = np.array([cfg.bath_state(b).diagonal().real for b in range(cfg.n_baths)])
         self.p_exc = pops[:, 0]
-        self.fresh_energies = 0.5 * cfg.omega * (pops[:, 0] - pops[:, 1])
 
         # every fresh state is diagonal: the step is sum_c p_c sum_o K_co x conj(K_co)
         p = self.fresh_state.diagonal().real
         k = self.joint.reshape(len(p), -1, d, d)
         self.superop = np.einsum("c,coai,cobj->ijab", p, k, k.conj()).reshape(d * d, d * d).T
 
+        def after(x):  # x on (joint outcome, compound), read after the step
+            return np.tensordot(p, self.joint.conj().swapaxes(1, 2) @ x @ self.joint, 1)
+
         h_qubit = 0.5 * cfg.omega * SIGMA_Z
-        energies = []
-        for m in mem:
+        heats = []
+        for m, e_fresh in zip(mem, 0.5 * cfg.omega * (pops[:, 0] - pops[:, 1])):
             h_m = embed(h_qubit, [m], compound)
-            # energy of bath m's outgoing memory in each joint outcome o
-            e_out = embed(h_qubit, [m], QubitRegister(mem)).diagonal().real
-            energies += [h_m, u.conj().T @ h_m @ u,
-                         np.einsum("c,o,coai,coaj->ij", p, e_out, k.conj(), k),
-                         np.einsum("c,coai,ab,cobj->ij", p, k.conj(), h_m, k)]
+            h_mid = u.conj().T @ h_m @ u
+            e_out = embed(h_qubit, [m], QubitRegister(mem))
+            heats += [h_mid - h_m, after(np.kron(e_out, np.eye(d))) - h_mid,
+                      after(np.kron(np.eye(len(e_out)), h_m)) - e_fresh * np.eye(d)]
         # Tr[O rho] is the row O^T on the row-major vec(rho)
         rows = [np.kron(e, np.eye(d // 2)).reshape(-1) for e in np.eye(4).reshape(4, 2, 2)]
-        self.readout = np.array(rows + [o.T.reshape(-1) for o in energies], dtype=complex)
+        self.readout = np.array(rows + [o.T.reshape(-1) for o in heats], dtype=complex)
 
     @property
     def compound_dim(self) -> int:
@@ -264,12 +265,11 @@ class _StepOps:
     def heats(self, reads: np.ndarray):
         """(q_sa, q_intra_out, q_intra_in) per bath from readouts of pre-step compounds.
 
-        ``q_intra_in`` is the heat picked up by the fresh unit attached this
-        step, i.e. the incoming intra-collision heat of the *next* step's
-        record. Leading axes of ``reads`` are kept.
+        ``q_intra_in`` is the heat the fresh unit attached this step picks up,
+        the *next* record's incoming heat. Leading axes of ``reads`` are kept.
         """
-        e = reads[..., 4:].real.reshape(reads.shape[:-1] + (-1, 4))
-        return e[..., 1] - e[..., 0], e[..., 2] - e[..., 1], e[..., 3] - self.fresh_energies
+        q = reads[..., 4:].real.reshape(reads.shape[:-1] + (-1, 3))
+        return q[..., 0], q[..., 1], q[..., 2]
 
     def step_with_heat(self, rho_c: np.ndarray):
         """One step returning (next compound, q_sa, q_intra_out, q_intra_in)."""

@@ -29,7 +29,10 @@ def nbar(beta: float, omega: float) -> float:
         raise InvalidParameter(f"omega must be positive (got {omega})")
     if math.isinf(beta):
         return 0.0
-    return 1.0 / math.expm1(beta * omega)
+    try:
+        return 1.0 / math.expm1(beta * omega)
+    except OverflowError:  # beta*omega above ~709.8, where 1/expm1 is exp(-beta*omega)
+        return math.exp(-beta * omega)
 
 
 @dataclass(frozen=True)
@@ -155,8 +158,12 @@ def fidelity_from_delta_beta(beta: float, delta_beta: float, omega: float) -> fl
     """Fidelity between thermal qubit states at beta and beta + delta_beta.
 
     Evaluated in log space so large exponents cannot overflow. Agrees with
-    ``fidelity(gibbs_qubit(beta), gibbs_qubit(beta + delta_beta))``.
+    ``fidelity(gibbs_qubit(beta), gibbs_qubit(beta + delta_beta))``, also
+    where ``beta + delta_beta`` is infinite.
     """
+    if beta + delta_beta == math.inf:
+        # that state is the ground state: F is the other's ground population
+        return float(np.exp(-np.logaddexp(0.0, -omega * beta)))
     a = 0.5 * omega * (delta_beta + 2.0 * beta)
     b = omega * beta
     c = omega * (delta_beta + beta)

@@ -205,14 +205,13 @@ def kron_all(*ops: np.ndarray) -> np.ndarray:
 
 
 def _ptrace_raw(mat: np.ndarray, n_qubits: int, keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of (a stack of) 2^n x 2^n matrices keeping the qubits at ``keep``."""
+    """Partial trace of a 2^n x 2^n matrix keeping the qubits at ``keep``."""
     traced = [q for q in range(n_qubits) if q not in keep]
-    lead = mat.shape[:-2]
-    t = mat.reshape(lead + (2,) * (2 * n_qubits))
+    t = mat.reshape((2,) * (2 * n_qubits))
     for offset, q in enumerate(traced):
-        ax = len(lead) + q - offset  # axes shift left as earlier ones are consumed
+        ax = q - offset  # axes shift left as earlier ones are consumed
         t = np.trace(t, axis1=ax, axis2=ax + n_qubits - offset)
-    return t.reshape(lead + (2 ** len(keep),) * 2)
+    return t.reshape((2 ** len(keep),) * 2)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:

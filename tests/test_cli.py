@@ -127,6 +127,15 @@ class TestSteadyState:
         _, _, rows = read_rows(out)
         assert rows[0]["status"] == "ok"
 
+    def test_beta_past_expm1_overflow_ok(self, tmp_path):
+        # nbar at beta*omega = 1000 underflows to 0, as at beta = inf
+        out = tmp_path / "ss.csv"
+        code = run_cli(["steady-state", "--setting", "I", "--beta", "1000",
+                        "--dt", "0.1", "--out", str(out)])
+        assert code == 0
+        _, _, rows = read_rows(out)
+        assert rows[0]["status"] == "ok"
+
     def test_small_dt_near_canonical(self, tmp_path):
         out = tmp_path / "ss.csv"
         run_cli(["steady-state", "--setting", "II", "--beta", "2", "--dt", "1e-4",
@@ -355,6 +364,38 @@ class TestConfigPrecedence:
         res = Resolved(args)
         assert list(res.delta_values) == [0.2]
         assert len(res.dt_values) == 20
+
+    def test_steps_and_t_final_from_one_source_rejected(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        code = run_cli(["dynamics", "--setting", "I", "--beta", "2", "--dt", "0.1",
+                        "--delta", "0", "--steps", "3", "--t-final", "100", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--steps" in err and "--t-final" in err
+        assert not out.exists()
+
+    def test_flag_steps_replaces_preset_t_final(self, tmp_path):
+        # fig3's t_final 8 yields to the flag, and is not echoed
+        out = tmp_path / "o.csv"
+        code = run_cli(["dynamics", "--preset", "fig3", "--steps", "2", "--out", str(out)])
+        assert code == 0
+        header, _, rows = read_rows(out)
+        assert "# steps=2" in header
+        assert not any(h.startswith("# t_final=") for h in header)
+        assert len(rows) == 2 * 3 * 2
+
+    def test_flag_t_final_beats_config_steps(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("steps = 50\n")
+        out = tmp_path / "o.csv"
+        code = run_cli(["dynamics", "--setting", "I", "--beta", "2", "--dt", "0.1",
+                        "--delta", "0", "--config", str(conf), "--t-final", "0.3",
+                        "--out", str(out)])
+        assert code == 0
+        header, _, rows = read_rows(out)
+        assert "# t_final=0.3" in header
+        assert not any(h.startswith("# steps=") for h in header)
+        assert [r["step"] for r in rows] == ["1", "2", "3"]
 
     def test_read_config_rejects_garbage(self, tmp_path):
         conf = tmp_path / "bad.conf"

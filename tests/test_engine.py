@@ -537,10 +537,6 @@ class TestEvolve:
             def sys_energy(mat):
                 return 0.5 * omega * (mat[0, 0] - mat[1, 1]).real
 
-            from collideq.engine import _StepOps
-
-            ops = _StepOps(cfg)
-            e_mem_fresh = ops.fresh_energies.sum()
             e_sys = [sys_energy(np.diag([0.8, 0.2]))] + [sys_energy(res.states[k]) for k in range(n)]
             # reconstruct memory energies per step from the compound at the end
             # is awkward; instead use the identity q_intra_in[n+1] = -q_intra_out[n]

@@ -56,6 +56,13 @@ class TestThermal:
         assert abs(nbar(1.0, 1.0) - 1.0 / (math.e - 1.0)) < 1e-12
         assert abs(nbar(2.0, 1.0) - 0.156518) < 1e-6
 
+    def test_nbar_past_expm1_overflow(self):
+        # expm1 overflows above beta*omega ~ 709.8; 1/expm1 is exp(-x) there
+        assert nbar(709.0, 1.0) == 1.0 / math.expm1(709.0)
+        assert nbar(710.0, 1.0) == math.exp(-710.0)
+        assert nbar(500.0, 2.0) == 0.0
+        assert np.array_equal(gibbs_qubit(500.0, 2.0).mat, np.diag([0.0, 1.0]))
+
     def test_nbar_rejects_bad_params(self):
         with pytest.raises(InvalidParameter):
             nbar(-1.0, 1.0)
@@ -193,6 +200,12 @@ class TestFidelityDeltaBetaRelation:
 
     def test_no_overflow_at_large_beta(self):
         assert 0.0 <= fidelity_from_delta_beta(500.0, 200.0, 2.0) <= 1.0
+
+    def test_infinite_beta(self):
+        assert fidelity_from_delta_beta(math.inf, 0.0, 1.0) == 1.0
+        direct = fidelity(gibbs_qubit(2.0, 1.0), gibbs_qubit(math.inf, 1.0))
+        assert fidelity_from_delta_beta(2.0, math.inf, 1.0) == pytest.approx(direct, rel=1e-15)
+        assert fidelity_from_delta_beta(2.0, math.inf, 1.0) == pytest.approx(0.880797, abs=1e-6)
 
 
 class TestNegativity:

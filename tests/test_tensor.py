@@ -14,7 +14,6 @@ from collideq.tensor import (
     QubitRegister,
     UnitaryOp,
     _check_density_stack,
-    _ptrace_raw,
     embed,
     eig_hermitian,
     expm_i_hermitian,
@@ -124,15 +123,6 @@ class TestPartialTrace:
             red = partial_trace(evolved, ["B"])
             assert abs(np.trace(red.mat) - 1.0) < 1e-12
             assert np.linalg.eigvalsh(red.mat).min() >= -1e-10
-
-    @pytest.mark.parametrize("keep", [[0], [1], [0, 2], [2, 0, 1]])
-    def test_stacked_raw_trace_matches_per_matrix(self, keep):
-        rng = np.random.default_rng(11)
-        stack = rng.normal(size=(2, 3, 8, 8)) + 1j * rng.normal(size=(2, 3, 8, 8))
-        out = _ptrace_raw(stack, 3, keep)
-        assert out.shape == (2, 3) + (2 ** len(keep),) * 2
-        for idx in np.ndindex(2, 3):
-            assert np.array_equal(out[idx], _ptrace_raw(stack[idx], 3, keep))
 
 
 class TestPartialTranspose:
