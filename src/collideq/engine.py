@@ -43,6 +43,7 @@ from .tensor import (
     QubitRegister,
     UnitaryOp,
     _check_density_stack,
+    connected_blocks,
     embed,
     expm_i_hermitian,
     kron_all,
@@ -359,17 +360,17 @@ def markovian_channel(cfg: ModelConfig) -> StepChannel:
     )
 
 
-def _power_fixed_point(superop: np.ndarray, d: int) -> np.ndarray:
-    """Fixed point by power iteration from the maximally mixed state.
+def _power_fixed_point(block: np.ndarray, trace_vec: np.ndarray) -> np.ndarray:
+    """Fixed point of ``block`` by power iteration from the maximally mixed state.
 
-    The iteration is accelerated by repeated squaring of the superoperator,
-    so the number of effective channel applications grows as 2^k. Iterates
-    are trace-normalized and the squared matrix rescaled so that non-normal
-    transient growth cannot overflow.
+    ``trace_vec`` is the trace functional on the block's indices. The
+    iteration is accelerated by repeated squaring of the block, so the
+    number of effective channel applications grows as 2^k. Iterates are
+    trace-normalized and the squared matrix rescaled so that non-normal
+    transient growth cannot overflow. Returns the unit-trace block vector.
     """
-    trace_vec = np.eye(d, dtype=complex).reshape(-1)
-    v = trace_vec / d
-    b = superop.copy()
+    v = trace_vec / trace_vec.sum()
+    b = block.copy()
     for _ in range(_MAX_DOUBLINGS):
         w = b @ v
         tr = trace_vec @ w
@@ -384,50 +385,71 @@ def _power_fixed_point(superop: np.ndarray, d: int) -> np.ndarray:
         scale = np.abs(b).max()
         if scale > 1e100:
             b = b / scale
-    rho = v.reshape(d, d)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    if not np.all(np.isfinite(rho)):
+    if not np.all(np.isfinite(v)):
         raise FixedPointError("power iteration diverged")
-    return rho
+    return v
 
 
 def steady_state(channel: StepChannel) -> DensityMatrix:
     """Unique fixed point of a trace-preserving one-step channel.
 
-    Computed by a bordered solve, eigvals for the spectrum, and a
-    power-iteration cross-check. ``eigvals`` gives the peripheral count
-    (more than one raises :class:`NonUniqueSteadyState`) and the spectral
-    gap. The fixed point solves ``S - 1`` with its first row replaced by the
-    trace functional and right-hand side ``e_0``; a singular system means no
-    unique unit-trace fixed point. The agreement tolerance with power
-    iteration widens from 1e-12 as the gap closes, since the fixed point of
-    the floating-point superoperator is itself only conditioned to eps/gap.
-    Raises :class:`FixedPointError` when the residual exceeds 1e-12 or the
-    two solutions disagree, and :class:`NumericalPositivityError` when the
-    fixed point has an eigenvalue below -1e-10.
+    ``S`` is split into the connected components of its exact nonzero
+    pattern (a dense ``S`` is one); for these collisions they are the
+    coherence-order blocks. ``eigvals`` per component gives the peripheral
+    count (more than one raises :class:`NonUniqueSteadyState`) and the
+    spectral gap. The components holding a diagonal entry form the trace
+    block, which must hold the peripheral eigenvalue. There the fixed point
+    solves ``S - 1`` with its first row replaced by the trace functional and
+    right-hand side ``e_0`` (singular: no unique unit-trace fixed point),
+    cross-checked by power iteration to a tolerance that widens from 1e-12
+    as the gap closes, since the fixed point of the floating-point ``S`` is
+    only conditioned to eps/gap. Raises :class:`FixedPointError` when the
+    residual under the full ``S`` exceeds 1e-12 or the two solutions
+    disagree, and :class:`NumericalPositivityError` when the fixed point has
+    an eigenvalue below -1e-10.
     """
     superop = channel.superop
     d = channel.dim
-    moduli = np.sort(np.abs(np.linalg.eigvals(superop)))[::-1]
+    on_diagonal = np.zeros(d * d, dtype=bool)
+    on_diagonal[::d + 1] = True
+    moduli, trace_block, trace_moduli = [], [], []
+    for block in connected_blocks(superop != 0):
+        m = np.abs(np.linalg.eigvals(superop[np.ix_(block, block)]))
+        moduli.append(m)
+        if on_diagonal[block].any():
+            trace_block.append(block)
+            trace_moduli.append(m)
+    moduli = np.sort(np.concatenate(moduli))[::-1]
     peripheral = int(np.sum(moduli > 1.0 - _PERIPHERAL_TOL))
     if peripheral != 1:
         raise NonUniqueSteadyState(max(peripheral, 2))
-    bordered = superop - np.eye(d * d)
-    bordered[0] = np.eye(d).reshape(-1)
-    rhs = np.zeros(d * d, dtype=complex)
+    if not np.any(np.concatenate(trace_moduli) > 1.0 - _PERIPHERAL_TOL):
+        raise NonUniqueSteadyState(2)  # the fixed point is traceless
+    block = np.sort(np.concatenate(trace_block))
+    sub = superop[np.ix_(block, block)]
+    trace_vec = on_diagonal[block].astype(complex)
+    bordered = sub - np.eye(len(block))
+    bordered[0] = trace_vec
+    rhs = np.zeros(len(block), dtype=complex)
     rhs[0] = 1.0
     try:
-        rho = np.linalg.solve(bordered, rhs).reshape(d, d)
+        x = np.linalg.solve(bordered, rhs)
     except np.linalg.LinAlgError:
         raise NonUniqueSteadyState(2) from None
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
+
+    def unit_state(x):  # the d x d state with the block vector x, zero elsewhere
+        vec = np.zeros(d * d, dtype=complex)
+        vec[block] = x
+        rho = vec.reshape(d, d)
+        rho = 0.5 * (rho + rho.conj().T)
+        return rho / np.trace(rho).real
+
+    rho = unit_state(x)
     residual = np.abs(channel.apply(rho) - rho).max()
     if residual > _FIXED_POINT_TOL:
         raise FixedPointError(f"fixed-point residual {residual:.2e} exceeds 1e-12")
     gap = 1.0 - moduli[1]
-    rho_pi = _power_fixed_point(superop, d)
+    rho_pi = unit_state(_power_fixed_point(sub, trace_vec))
     tol = max(1e-12, 100.0 * np.finfo(float).eps / max(gap, 1e-15))
     dev = np.abs(rho - rho_pi).max()
     if not dev <= tol:  # written so NaN fails too

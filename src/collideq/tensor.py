@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -266,14 +266,45 @@ def eig_hermitian(h) -> Tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def connected_blocks(pattern: np.ndarray) -> List[np.ndarray]:
+    """Index sets of the connected components of a square boolean ``pattern``.
+
+    Indices i and j are linked when ``pattern[i, j]`` or ``pattern[j, i]``.
+    Each index takes the smallest label among its neighbours, then its
+    label's label, until nothing changes; the labels left are the
+    components' smallest indices. Blocks come in that order, each ascending.
+    """
+    n = len(pattern)
+    linked = pattern | pattern.T | np.eye(n, dtype=bool)
+    labels = np.arange(n)
+    while True:
+        nearest = np.where(linked, labels, n).min(axis=1)
+        nearest = nearest[nearest]
+        if np.array_equal(nearest, labels):
+            break
+        labels = nearest
+    return [np.flatnonzero(labels == root) for root in np.flatnonzero(labels == np.arange(n))]
+
+
 def expm_i_hermitian(h, t: float):
-    """exp(-i h t) for Hermitian h, via eigendecomposition.
+    """exp(-i h t) for Hermitian h, one eigendecomposition per decoupled block.
+
+    Each connected component of ``h != 0`` is exponentiated by its own
+    ``eigh``, and every entry between components is exactly 0. (A single
+    ``eigh`` may mix degenerate eigenvectors across blocks, which leaves
+    rounding noise where the exponential is exactly 0.)
 
     Accepts a :class:`HermitianOp` (returns a :class:`UnitaryOp` on the same
     register) or a raw matrix (returns a raw matrix).
     """
-    w, v = eig_hermitian(h)
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
+    mat = _as_matrix(h)
+    u = np.zeros(mat.shape, dtype=complex)
+    # every nonzero entry and its transpose share a block, so checking each
+    # block for Hermiticity checks all of h
+    for block in connected_blocks(mat != 0):
+        sub = np.ix_(block, block)
+        w, v = eig_hermitian(mat[sub])
+        u[sub] = (v * np.exp(-1j * w * t)) @ v.conj().T
     if hasattr(h, "register"):
         return UnitaryOp(h.register, u)
     return u

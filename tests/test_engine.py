@@ -374,6 +374,21 @@ class TestEmbeddedChannel:
             v = ops.superop @ v
             assert np.array_equal(out, v)
 
+    @pytest.mark.parametrize("setting", ["I", "II"])
+    @pytest.mark.parametrize("beta", [0.5, 2.0, math.inf])
+    @pytest.mark.parametrize("dt", [1e-3, 0.14375, 0.38125])
+    @pytest.mark.parametrize("delta", [0.0, 0.95 * HALF_PI])
+    def test_superop_exactly_zero_between_coherence_orders(self, setting, beta, dt, delta):
+        # both collisions conserve excitation number and every fresh unit is
+        # diagonal, so S maps |i><j| into operators of order N(i) - N(j)
+        from collideq.engine import _StepOps
+
+        s = _StepOps(ModelConfig(beta=beta, dt=dt, delta=delta, setting=setting)).superop
+        d = math.isqrt(len(s))
+        excited = np.array([bin(d - 1 - i).count("1") for i in range(d)])  # bit 0 = excited
+        order = (excited[:, None] - excited[None, :]).reshape(-1)
+        assert np.all(s[order[:, None] != order[None, :]] == 0)
+
     def test_completely_positive_choi(self):
         for cfg in (cfg_i(delta=0.8), cfg_ii(delta=0.8, dt=0.05)):
             ch = embedded_step_channel(cfg)
@@ -454,11 +469,43 @@ class TestSteadyState:
     @pytest.mark.parametrize("delta", [0.0, 0.95 * HALF_PI])
     def test_matches_eig_eigenvector(self, setting, beta, dt, delta):
         ch = embedded_step_channel(ModelConfig(beta=beta, dt=dt, delta=delta, setting=setting))
+        ref, tol = self._eig_fixed_point(ch)
+        assert np.abs(steady_state(ch).mat - ref).max() < tol
+
+    @staticmethod
+    def _eig_fixed_point(ch):
+        """Unit-trace eigenvalue-1 vector of the full superoperator, and the gap tolerance."""
         w, v = np.linalg.eig(ch.superop)
         k = int(np.argmin(np.abs(w - 1.0)))
         ref = v[:, k].reshape(ch.dim, ch.dim)
-        ref = ref / np.trace(ref)
         gap = 1.0 - np.sort(np.abs(w))[-2]
+        return ref / np.trace(ref), max(1e-11, 100 * np.finfo(float).eps / gap)
+
+    def test_dense_random_channel_matches_eig_eigenvector(self):
+        # random Kraus operators with full support: one block, the dense path
+        rng = np.random.default_rng(14)
+        k = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        w, v = np.linalg.eigh(np.einsum("kji,kjl->il", k.conj(), k))
+        k = k @ (v / np.sqrt(w)) @ v.conj().T  # sum_k K^dag K = 1
+        superop = sum(np.kron(a, a.conj()) for a in k)
+        assert np.all(superop != 0)
+        ch = StepChannel(QubitRegister(["S"]), superop)
+        ref, tol = self._eig_fixed_point(ch)
+        assert np.abs(steady_state(ch).mat - ref).max() < tol
+
+    @pytest.mark.parametrize("setting", ["I", "II"])
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    @pytest.mark.parametrize("dt", [0.025, 0.14375, 0.38125, 0.5])
+    @pytest.mark.parametrize("delta", [0.0, 0.6 * HALF_PI, 0.95 * HALF_PI])
+    def test_block_solve_matches_full_bordered_solve(self, setting, beta, dt, delta):
+        ch = embedded_step_channel(ModelConfig(beta=beta, dt=dt, delta=delta, setting=setting))
+        n, d = len(ch.superop), ch.dim
+        bordered = ch.superop - np.eye(n)
+        bordered[0] = np.eye(d).reshape(-1)
+        ref = np.linalg.solve(bordered, np.eye(n)[0]).reshape(d, d)
+        ref = 0.5 * (ref + ref.conj().T)
+        ref = ref / np.trace(ref).real
+        gap = 1.0 - np.sort(np.abs(np.linalg.eigvals(ch.superop)))[-2]
         tol = max(1e-11, 100 * np.finfo(float).eps / gap)
         assert np.abs(steady_state(ch).mat - ref).max() < tol
 
@@ -468,6 +515,15 @@ class TestSteadyState:
         ch = StepChannel(QubitRegister(["S"]), np.diag([0.5, 1.0, 0.5, 0.5]).astype(complex))
         with pytest.raises(NonUniqueSteadyState):
             steady_state(ch)
+
+    def test_traceless_fixed_point_in_trace_block_nonunique(self):
+        # the populations' block holds the simple eigenvalue 1, but its
+        # eigenvector (1, -1) is traceless: the bordered block is singular
+        superop = np.diag([0.0, 0.3, 0.3, 0.0]).astype(complex)
+        superop[np.ix_([0, 3], [0, 3])] = [[0.75, -0.25], [-0.25, 0.75]]
+        with pytest.raises(NonUniqueSteadyState) as err:
+            steady_state(StepChannel(QubitRegister(["S"]), superop))
+        assert err.value.multiplicity == 2
 
     def test_nonpositive_fixed_point_raises(self):
         ch = StepChannel(QubitRegister(["S"]), replace_by(np.diag([1.5, -0.5])))
@@ -487,7 +543,7 @@ class TestSteadyState:
         import collideq.engine as engine
 
         monkeypatch.setattr(engine, "_power_fixed_point",
-                            lambda superop, d: np.eye(d, dtype=complex) / d)
+                            lambda block, trace_vec: trace_vec / trace_vec.sum())
         with pytest.raises(FixedPointError, match="disagree"):
             steady_state(embedded_step_channel(cfg_ii(beta=2.0, dt=0.1)))
 
@@ -495,7 +551,7 @@ class TestSteadyState:
         from collideq.engine import _power_fixed_point
 
         with pytest.raises(FixedPointError, match="trace"):
-            _power_fixed_point(np.zeros((4, 4), dtype=complex), 2)
+            _power_fixed_point(np.zeros((4, 4), dtype=complex), np.eye(2).reshape(-1))
 
     def test_cold_tiny_dt_fixed_point_is_gibbs_product(self):
         rho = steady_state(embedded_step_channel(cfg_i(beta=50.0, dt=1e-6)))

@@ -14,6 +14,7 @@ from collideq.tensor import (
     QubitRegister,
     UnitaryOp,
     _check_density_stack,
+    connected_blocks,
     embed,
     eig_hermitian,
     expm_i_hermitian,
@@ -204,12 +205,44 @@ class TestExpm:
         u12 = expm_i_hermitian(h, 0.37 + 1.21)
         assert np.abs(u1 @ u2 - u12).max() < 1e-10
 
+    def test_decoupled_blocks_are_exactly_zero_between(self):
+        # one 2x2 block on indices {0, 2} and again on {1, 4}: eigenvalues
+        # degenerate across blocks, which one eigh of h may mix
+        blk = np.array([[0.3, 0.7 - 0.2j], [0.7 + 0.2j, -0.4]])
+        h = np.zeros((5, 5), dtype=complex)
+        h[np.ix_([0, 2], [0, 2])] = blk
+        h[np.ix_([1, 4], [1, 4])] = blk
+        h[3, 3] = 0.3
+        u = expm_i_hermitian(h, 0.9)
+        w, v = np.linalg.eigh(blk)
+        u_blk = (v * np.exp(-0.9j * w)) @ v.conj().T
+        inside = np.zeros((5, 5), dtype=bool)
+        for idx in ([0, 2], [1, 4], [3]):
+            inside[np.ix_(idx, idx)] = True
+        assert np.all(u[~inside] == 0)
+        assert np.abs(u[np.ix_([0, 2], [0, 2])] - u_blk).max() < 1e-15
+        assert np.abs(u[np.ix_([1, 4], [1, 4])] - u_blk).max() < 1e-15
+        assert abs(u[3, 3] - np.exp(-0.27j)) < 1e-15
+
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(NotHermitian):
+            expm_i_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
+
     def test_wrapped_result_is_unitary(self):
         reg = QubitRegister(["A", "B"])
         h = HermitianOp(reg, random_density(2))
         u = expm_i_hermitian(h, 0.83)
         assert isinstance(u, UnitaryOp)
         assert u.register is reg
+
+
+class TestConnectedBlocks:
+    def test_one_way_links_join_components(self):
+        pattern = np.zeros((7, 7), dtype=bool)
+        for i, j in [(6, 3), (3, 1), (0, 4), (5, 6)]:
+            pattern[i, j] = True
+        blocks = connected_blocks(pattern)
+        assert [b.tolist() for b in blocks] == [[0, 4], [1, 3, 5, 6], [2]]
 
 
 class TestEmbed:
