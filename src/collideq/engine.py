@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -172,6 +172,80 @@ def setting2_unitary(cfg: ModelConfig, register: QubitRegister,
     return UnitaryOp(register, expm_i_hermitian(h, cfg.dt))
 
 
+def _read_only(*arrays: np.ndarray):
+    """Mark cached arrays read-only, so no caller can change what the next one reads."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _compound_register(n_baths: int) -> QubitRegister:
+    """(S, M) for one bath, (S, M0, M1, ...) for several."""
+    return QubitRegister(["S"] + (["M"] if n_baths == 1 else [f"M{b}" for b in range(n_baths)]))
+
+
+# The pieces of a core that only some configuration parameters reach are
+# cached apart from the core, so a grid cell rebuilds only what its own
+# parameters change. Each cache holds a fixed number of entries.
+
+@functools.lru_cache(maxsize=16)
+def _collision(setting: str, beta: float, dt: float, omega: float, gamma: float) -> np.ndarray:
+    """Compound collision U of one (setting, beta, dt, omega, gamma); delta never reaches it."""
+    cfg = ModelConfig(beta=beta, dt=dt, omega=omega, gamma=gamma, setting=setting)
+    compound = _compound_register(cfg.n_baths)
+    mem = compound.labels[1:]
+    if setting == SETTING_I:
+        u = partial_swap(cfg.coupling_j * cfg.dt, ("S", *mem), compound).mat
+    else:
+        u = setting2_unitary(cfg, compound, "S", *mem).mat
+    _read_only(u)
+    return u
+
+
+@functools.lru_cache(maxsize=32)
+def _bath_pieces(setting: str, beta: float, omega: float, delta: float):
+    """``(fresh_state, memories, pops)`` of one (setting, beta, omega, delta).
+
+    ``memories`` is every bath's intra Kraus pair joined and lifted to the
+    compound, indexed (birth, outcome, F_out, compound in); ``pops[b]`` is
+    bath ``b``'s (excited, ground) populations.
+    """
+    cfg = ModelConfig(beta=beta, dt=1.0, omega=omega, delta=delta, setting=setting)  # dt unread
+    baths = [cfg.bath_state(b) for b in range(cfg.n_baths)]
+    intra = intra_bath_unitary(delta, ("M", "F"), QubitRegister(["M", "F"])).mat
+    # (M_out, F_out, M_in, F_in) -> (F_in, M_out, F_out, M_in)
+    kraus = intra.reshape(2, 2, 2, 2).transpose(3, 0, 1, 2)
+    # np.kron joins all four axes (birth, outcome, F_out, M_in) bath by
+    # bath, bath 0 most significant; kron(1_S, .) lifts them to the compound
+    memories = np.kron(np.eye(2), kron_all(*[kraus] * cfg.n_baths))
+    pops = np.array([b.diagonal().real for b in baths])
+    return _read_only(kron_all(*baths), memories, pops)
+
+
+@functools.lru_cache(maxsize=4)
+def _readout_pieces(n_baths: int, omega: float):
+    """The readout operators of one (n_baths, omega) that no collision enters.
+
+    ``(system_rows, energies)``: the four system-marginal rows, and per bath
+    ``(H_m, E_out x 1, 1 x H_m)``, its memory energy on the compound and
+    the outgoing memory's and the new memory's energies on (joint outcome,
+    compound).
+    """
+    compound = _compound_register(n_baths)
+    mem = compound.labels[1:]
+    d = compound.dim
+    h_qubit = 0.5 * omega * SIGMA_Z
+    energies = []
+    for m in mem:
+        h_m = embed(h_qubit, [m], compound)
+        e_out = embed(h_qubit, [m], QubitRegister(mem))
+        energies.append(_read_only(h_m, np.kron(e_out, np.eye(d)),
+                                   np.kron(np.eye(len(e_out)), h_m)))
+    rows = _read_only(*(np.kron(e, np.eye(d // 2)).reshape(-1)
+                        for e in np.eye(4).reshape(4, 2, 2)))
+    return rows, tuple(energies)
+
+
 class _StepOps:
     """The collision core of one configuration, the only place its step is built.
 
@@ -201,45 +275,34 @@ class _StepOps:
     """
 
     def __init__(self, cfg: ModelConfig):
-        mem = ["M"] if cfg.n_baths == 1 else [f"M{b}" for b in range(cfg.n_baths)]
-        compound = self.compound_register = QubitRegister(["S"] + mem)
-
-        if cfg.setting == SETTING_I:
-            u = partial_swap(cfg.coupling_j * cfg.dt, ("S", *mem), compound).mat
-        else:
-            u = setting2_unitary(cfg, compound, "S", *mem).mat
-        self.u_compound = u
-        self.fresh_state = kron_all(*(cfg.bath_state(b) for b in range(cfg.n_baths)))
+        compound = self.compound_register = _compound_register(cfg.n_baths)
         d = compound.dim
-        intra = intra_bath_unitary(cfg.delta, ("M", "F"), QubitRegister(["M", "F"])).mat
-        # (M_out, F_out, M_in, F_in) -> (F_in, M_out, F_out, M_in)
-        kraus = intra.reshape(2, 2, 2, 2).transpose(3, 0, 1, 2)
-        # np.kron joins all four axes (birth, outcome, F_out, M_in) bath by
-        # bath, bath 0 most significant; kron(1_S, .) lifts them to the compound
-        memories = kron_all(*[kraus] * cfg.n_baths)
-        self.joint = (np.kron(np.eye(2), memories) @ u).reshape(len(memories), -1, d)
-        pops = np.array([cfg.bath_state(b).diagonal().real for b in range(cfg.n_baths)])
+        u = self.u_compound = _collision(cfg.setting, cfg.beta, cfg.dt, cfg.omega, cfg.gamma)
+        self.fresh_state, memories, pops = _bath_pieces(cfg.setting, cfg.beta, cfg.omega,
+                                                        cfg.delta)
+        self.joint = (memories @ u).reshape(len(memories), -1, d)
         self.p_exc = pops[:, 0]
 
         # every fresh state is diagonal: the step is sum_c p_c sum_o K_co x conj(K_co)
         p = self.fresh_state.diagonal().real
         k = self.joint.reshape(len(p), -1, d, d)
-        self.superop = np.einsum("c,coai,cobj->ijab", p, k, k.conj()).reshape(d * d, d * d).T
+        self.superop = np.einsum("coai,cobj->ijab", p[:, None, None, None] * k,
+                                 k.conj()).reshape(d * d, d * d).T
+
+        joint_dag = self.joint.conj().swapaxes(1, 2)
 
         def after(x):  # x on (joint outcome, compound), read after the step
-            return np.tensordot(p, self.joint.conj().swapaxes(1, 2) @ x @ self.joint, 1)
+            return np.tensordot(p, joint_dag @ x @ self.joint, 1)
 
-        h_qubit = 0.5 * cfg.omega * SIGMA_Z
+        system_rows, energies = _readout_pieces(cfg.n_baths, cfg.omega)
         heats = []
-        for m, e_fresh in zip(mem, 0.5 * cfg.omega * (pops[:, 0] - pops[:, 1])):
-            h_m = embed(h_qubit, [m], compound)
+        for (h_m, e_out, e_next), e_fresh in zip(energies,
+                                                 0.5 * cfg.omega * (pops[:, 0] - pops[:, 1])):
             h_mid = u.conj().T @ h_m @ u
-            e_out = embed(h_qubit, [m], QubitRegister(mem))
-            heats += [h_mid - h_m, after(np.kron(e_out, np.eye(d))) - h_mid,
-                      after(np.kron(np.eye(len(e_out)), h_m)) - e_fresh * np.eye(d)]
+            heats += [h_mid - h_m, after(e_out) - h_mid, after(e_next) - e_fresh * np.eye(d)]
         # Tr[O rho] is the row O^T on the row-major vec(rho)
-        rows = [np.kron(e, np.eye(d // 2)).reshape(-1) for e in np.eye(4).reshape(4, 2, 2)]
-        self.readout = np.array(rows + [o.T.reshape(-1) for o in heats], dtype=complex)
+        self.readout = np.array([*system_rows, *(o.T.reshape(-1) for o in heats)],
+                                dtype=complex)
 
     @property
     def compound_dim(self) -> int:
@@ -288,11 +351,16 @@ def _step_ops(cfg: ModelConfig) -> _StepOps:
     reads the channel and then the flux, a BLP cell reads the channel and
     the system rows, and the trajectories command runs ``evolve`` and then
     each of its ensemble chunks.
+
+    A new core reuses the pieces that its parameters share with recent
+    configurations, each from its own bounded cache: ``_collision`` keyed
+    by (setting, beta, dt, omega, gamma), ``_bath_pieces`` (fresh state,
+    lifted intra Kraus stack, populations) by (setting, beta, omega, delta),
+    and ``_readout_pieces`` (system rows and memory energies) by
+    (n_baths, omega). A grid row at fixed dt so builds its collision once.
     """
     ops = _StepOps(cfg)
-    for value in vars(ops).values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
+    _read_only(*(v for v in vars(ops).values() if isinstance(v, np.ndarray)))
     return ops
 
 
@@ -390,6 +458,32 @@ def _power_fixed_point(block: np.ndarray, trace_vec: np.ndarray) -> np.ndarray:
     return v
 
 
+def _block_moduli(superop: np.ndarray, d: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """``(block, |eigenvalues|)`` of each connected component of ``superop != 0``.
+
+    A channel that preserves Hermiticity, S(X^dag) = S(X)^dag, maps the
+    block of coherence order -k to the conjugate of the +k block, with
+    index ``(i, j)`` read as ``(j, i)``. Where the mapped block is exactly
+    the entrywise conjugate of a block already solved, it has the same
+    moduli and takes them; any other block gets its own ``eigvals``.
+    """
+    mirror = np.arange(d * d).reshape(d, d).T.reshape(-1)  # vec(|j><i|) of vec(|i><j|)
+    seen = {}  # smallest index of a block -> (block, moduli)
+    out = []
+    for block in connected_blocks(superop != 0):
+        sub = superop[np.ix_(block, block)]
+        image = mirror[block]
+        twin = seen.get(image.min())
+        if (twin is not None and np.array_equal(np.sort(image), twin[0])
+                and np.array_equal(superop[np.ix_(image, image)], sub.conj())):
+            m = twin[1]
+        else:
+            m = np.abs(np.linalg.eigvals(sub))
+        seen[block[0]] = (block, m)
+        out.append((block, m))
+    return out
+
+
 def steady_state(channel: StepChannel) -> DensityMatrix:
     """Unique fixed point of a trace-preserving one-step channel.
 
@@ -397,7 +491,8 @@ def steady_state(channel: StepChannel) -> DensityMatrix:
     pattern (a dense ``S`` is one); for these collisions they are the
     coherence-order blocks. ``eigvals`` per component gives the peripheral
     count (more than one raises :class:`NonUniqueSteadyState`) and the
-    spectral gap. The components holding a diagonal entry form the trace
+    spectral gap; a block that is exactly the conjugate of its mirror's
+    takes the mirror's moduli (:func:`_block_moduli`). The components holding a diagonal entry form the trace
     block, which must hold the peripheral eigenvalue. There the fixed point
     solves ``S - 1`` with its first row replaced by the trace functional and
     right-hand side ``e_0`` (singular: no unique unit-trace fixed point),
@@ -413,8 +508,7 @@ def steady_state(channel: StepChannel) -> DensityMatrix:
     on_diagonal = np.zeros(d * d, dtype=bool)
     on_diagonal[::d + 1] = True
     moduli, trace_block, trace_moduli = [], [], []
-    for block in connected_blocks(superop != 0):
-        m = np.abs(np.linalg.eigvals(superop[np.ix_(block, block)]))
+    for block, m in _block_moduli(superop, d):
         moduli.append(m)
         if on_diagonal[block].any():
             trace_block.append(block)

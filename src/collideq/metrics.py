@@ -15,7 +15,14 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, InvalidSubsystem, NotDiagonal
-from .tensor import DensityMatrix, QubitRegister, partial_trace, partial_transpose
+from .tensor import (
+    DensityMatrix,
+    QubitRegister,
+    _check_density_stack,
+    _ptrace_raw,
+    _ptranspose_raw,
+    partial_transpose,
+)
 
 _DIAG_TOL = 1e-8
 _GE_SATURATION = 1.0 - 1e-12
@@ -171,12 +178,17 @@ def fidelity_from_delta_beta(beta: float, delta_beta: float, omega: float) -> fl
     return float(np.exp(log_f))
 
 
-def _negativity(pt: np.ndarray) -> float:
-    # twice the summed magnitude of the negative eigenvalues; those within
-    # rounding (1e-12) of zero do not count, and none left gives +0.0, never -0
-    lam = np.linalg.eigvalsh(pt)
-    neg = lam[lam < -1e-12]
-    return -2.0 * float(neg.sum()) if neg.size else 0.0
+def _negativities(pts: np.ndarray) -> list:
+    """Negativity of each partial transpose of a ``(k, d, d)`` stack, one ``eigvalsh``.
+
+    Twice the summed magnitude of the negative eigenvalues; those within
+    rounding (1e-12) of zero do not count, and none left gives +0.0, never -0.
+    """
+    out = []
+    for lam in np.linalg.eigvalsh(pts):
+        neg = lam[lam < -1e-12]
+        out.append(-2.0 * float(neg.sum()) if neg.size else 0.0)
+    return out
 
 
 def negativity_2(rho: DensityMatrix) -> float:
@@ -184,7 +196,7 @@ def negativity_2(rho: DensityMatrix) -> float:
     if rho.register.n_qubits != 2:
         raise DimensionMismatch("negativity_2 requires a 2-qubit state")
     # a two-qubit partial transpose has at most one negative eigenvalue
-    return _negativity(partial_transpose(rho, rho.register.labels[:1]))
+    return _negativities(partial_transpose(rho, rho.register.labels[:1])[None])[0]
 
 
 def negativity_bipartition(rho: DensityMatrix, part: str) -> float:
@@ -196,16 +208,16 @@ def negativity_bipartition(rho: DensityMatrix, part: str) -> float:
         raise DimensionMismatch("negativity_bipartition requires a 3-qubit state")
     if part not in rho.register.labels:
         raise InvalidSubsystem(f"{part!r} not in register {rho.register.labels}")
-    return _negativity(partial_transpose(rho, [part]))
+    return _negativities(partial_transpose(rho, [part])[None])[0]
 
 
 def tripartite_negativity(rho: DensityMatrix) -> float:
     """Geometric mean of the three bipartition negativities; zero if any vanishes."""
     if rho.register.n_qubits != 3:
         raise DimensionMismatch("tripartite negativity requires a 3-qubit state")
+    pts = np.array([_ptranspose_raw(rho.mat, 3, (q,)) for q in range(3)])
     product = 1.0
-    for label in rho.register.labels:
-        n = negativity_bipartition(rho, label)
+    for n in _negativities(pts):
         if n == 0.0:
             return 0.0
         product *= n
@@ -213,11 +225,16 @@ def tripartite_negativity(rho: DensityMatrix) -> float:
 
 
 def pair_negativities(rho: DensityMatrix) -> dict:
-    """Negativities of every reduced 2-qubit state of a 3-qubit state."""
+    """Negativities of every reduced 2-qubit state of a 3-qubit state.
+
+    The three reduced states are checked as density matrices together, as
+    three :class:`DensityMatrix` constructions would check them.
+    """
     if rho.register.n_qubits != 3:
         raise DimensionMismatch("pair_negativities requires a 3-qubit state")
     a, b, c = rho.register.labels
-    out = {}
-    for pair in ((a, b), (a, c), (b, c)):
-        out[pair] = negativity_2(partial_trace(rho, pair))
-    return out
+    pairs = ((a, b), (a, c), (b, c))
+    reduced = np.array([_ptrace_raw(rho.mat, 3, keep) for keep in ((0, 1), (0, 2), (1, 2))])
+    _check_density_stack(reduced)
+    pts = np.array([_ptranspose_raw(m, 2, (0,)) for m in reduced])
+    return dict(zip(pairs, _negativities(pts)))

@@ -11,6 +11,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -272,8 +274,18 @@ def connected_blocks(pattern: np.ndarray) -> List[np.ndarray]:
     Indices i and j are linked when ``pattern[i, j]`` or ``pattern[j, i]``.
     Each index takes the smallest label among its neighbours, then its
     label's label, until nothing changes; the labels left are the
-    components' smallest indices. Blocks come in that order, each ascending.
+    components' smallest indices. Blocks come in that order, each ascending
+    and read-only: the partitions of the last few patterns are kept, keyed
+    by the packed pattern, and a pattern seen again reuses its partition.
     """
+    pattern = np.asarray(pattern, dtype=bool)
+    return list(_components(pattern.shape, np.packbits(pattern).tobytes()))
+
+
+@functools.lru_cache(maxsize=16)
+def _components(shape: Tuple[int, ...], packed: bytes) -> Tuple[np.ndarray, ...]:
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=math.prod(shape))
+    pattern = bits.reshape(shape).astype(bool)
     n = len(pattern)
     linked = pattern | pattern.T | np.eye(n, dtype=bool)
     labels = np.arange(n)
@@ -283,7 +295,11 @@ def connected_blocks(pattern: np.ndarray) -> List[np.ndarray]:
         if np.array_equal(nearest, labels):
             break
         labels = nearest
-    return [np.flatnonzero(labels == root) for root in np.flatnonzero(labels == np.arange(n))]
+    blocks = tuple(np.flatnonzero(labels == root)
+                   for root in np.flatnonzero(labels == np.arange(n)))
+    for block in blocks:
+        block.setflags(write=False)
+    return blocks
 
 
 def expm_i_hermitian(h, t: float):

@@ -559,6 +559,89 @@ class TestSteadyState:
         assert np.abs(rho.mat - np.kron(g, g)).max() < 1e-12
 
 
+    def test_mirror_block_not_conjugate_gets_its_own_spectrum(self):
+        # the coherences |0><1| and |1><0| are mirror blocks, but this map
+        # does not preserve Hermiticity: the second keeps its coherence, so
+        # eigenvalue 1 is double; reusing the first's modulus 0.5 would miss it
+        superop = np.diag([0.0, 0.5, 1.0, 0.0]).astype(complex)
+        superop[np.ix_([0, 3], [0, 3])] = [[0.75, 0.25], [0.25, 0.75]]
+        with pytest.raises(NonUniqueSteadyState) as err:
+            steady_state(StepChannel(QubitRegister(["S"]), superop))
+        assert err.value.multiplicity == 2
+
+    @pytest.mark.parametrize("setting", ["I", "II"])
+    @pytest.mark.parametrize("beta", [0.5, 2.0, math.inf])
+    @pytest.mark.parametrize("delta", [0.0, 0.6 * HALF_PI, 0.95 * HALF_PI])
+    def test_reused_mirror_moduli_match_direct_eigvals(self, setting, beta, delta):
+        from collideq.engine import _block_moduli
+
+        ch = embedded_step_channel(ModelConfig(beta=beta, dt=0.2, delta=delta, setting=setting))
+        spectra = _block_moduli(ch.superop, ch.dim)
+        for block, m in spectra:
+            direct = np.abs(np.linalg.eigvals(ch.superop[np.ix_(block, block)]))
+            assert np.abs(np.sort(m) - np.sort(direct)).max() <= 1e-14
+        if setting == "II":  # fresh populations 0 and 1 make the mirrors exact
+            assert len({id(m) for _, m in spectra}) < len(spectra)
+
+
+class TestCoreCaches:
+    """Cores built from cached pieces equal cores built from nothing."""
+
+    @staticmethod
+    def _fresh_core(cfg):
+        import collideq.engine as engine
+        import collideq.tensor as tensor
+
+        for cache in (engine._collision, engine._bath_pieces, engine._readout_pieces,
+                      tensor._components):
+            cache.cache_clear()
+        return engine._StepOps(cfg)
+
+    def _check_sequence(self, cfgs):
+        import collideq.engine as engine
+
+        refs = [self._fresh_core(cfg) for cfg in cfgs]
+        engine._step_ops.cache_clear()
+        for cfg, ref in zip(cfgs, refs):
+            ops = engine._step_ops(cfg)
+            for name in ("u_compound", "superop", "readout", "joint"):
+                assert np.array_equal(getattr(ops, name), getattr(ref, name)), (cfg, name)
+
+    def test_neighbours_at_same_dt_match_uncached_build(self):
+        from dataclasses import replace
+
+        base = cfg_ii(beta=2.0, dt=0.2, delta=0.6 * HALF_PI)
+        cfgs = [base, replace(base, omega=1.3), replace(base, gamma=0.7),
+                replace(base, beta=0.5), replace(base, setting="I"),
+                replace(base, setting="I", beta=math.inf), replace(base, delta=0.0), base]
+        self._check_sequence(cfgs)
+
+    def test_shuffled_grid_matches_uncached_build(self):
+        import itertools
+
+        grid = [ModelConfig(beta=beta, dt=dt, delta=delta, setting=setting)
+                for setting, beta, dt, delta in itertools.product(
+                    ["I", "II"], [0.5, math.inf], [0.01, 0.325], [0.0, 0.95 * HALF_PI])]
+        order = np.random.default_rng(15).permutation(len(grid))
+        self._check_sequence([grid[i] for i in order] * 2)
+
+    def test_cached_arrays_are_read_only(self):
+        import collideq.engine as engine
+        import collideq.tensor as tensor
+
+        for cfg in (cfg_i(dt=0.1, delta=0.7), cfg_ii(beta=0.3, dt=0.3, delta=1.2)):
+            ops = engine._step_ops(cfg)
+            arrays = [v for v in vars(ops).values() if isinstance(v, np.ndarray)]
+            arrays.append(engine._collision(cfg.setting, cfg.beta, cfg.dt, cfg.omega, cfg.gamma))
+            arrays += engine._bath_pieces(cfg.setting, cfg.beta, cfg.omega, cfg.delta)
+            rows, energies = engine._readout_pieces(cfg.n_baths, cfg.omega)
+            arrays += [*rows, *(a for triple in energies for a in triple)]
+            arrays += tensor.connected_blocks(ops.superop != 0)
+            assert len(arrays) > 10
+            for a in arrays:
+                assert not a.flags.writeable
+
+
 class TestEvolve:
     def test_setting1_monotone_fidelity_below_revival_threshold(self):
         # at delta = 0.5 pi/2 the memory refreshes well inside one exchange

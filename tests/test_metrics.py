@@ -269,6 +269,21 @@ class TestNegativity:
                 ) < 1e-10
             assert abs(tripartite_negativity(rotated) - tripartite_negativity(rho)) < 1e-10
 
+    def test_stacked_negativities_equal_one_state_path(self):
+        from collideq.tensor import partial_trace
+
+        states = [0.7 * ghz() + 0.3 * random_density(3) for _ in range(4)]
+        states.append(kron(bell(), random_density(1)))
+        for mat in states:
+            rho = dm(["A", "B", "C"], mat)
+            for pair, n in pair_negativities(rho).items():
+                assert n == negativity_2(partial_trace(rho, pair))
+            product = 1.0
+            for label in "ABC":
+                product *= negativity_bipartition(rho, label)
+            expected = product ** (1.0 / 3.0) if product else 0.0
+            assert tripartite_negativity(rho) == expected
+
     def test_pair_negativities(self):
         rho = dm(["A", "B", "C"], kron(bell(), np.eye(2) / 2))
         pairs = pair_negativities(rho)

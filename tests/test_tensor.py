@@ -244,6 +244,18 @@ class TestConnectedBlocks:
         blocks = connected_blocks(pattern)
         assert [b.tolist() for b in blocks] == [[0, 4], [1, 3, 5, 6], [2]]
 
+    def test_repeated_pattern_reuses_read_only_partition(self):
+        pattern = np.zeros((7, 7), dtype=bool)
+        for i, j in [(6, 3), (3, 1), (0, 4), (5, 6)]:
+            pattern[i, j] = True
+        first = connected_blocks(pattern)
+        second = connected_blocks(pattern.copy())
+        assert len(first) == len(second) and all(a is b for a, b in zip(first, second))
+        assert not any(b.flags.writeable for b in first)
+        pattern[2, 0] = True  # a changed pattern gets its own partition
+        assert [b.tolist() for b in connected_blocks(pattern)] == [[0, 2, 4], [1, 3, 5, 6]]
+        assert [b.tolist() for b in connected_blocks(pattern.T)] == [[0, 2, 4], [1, 3, 5, 6]]
+
 
 class TestEmbed:
     def test_identity_lifts_to_identity(self):
