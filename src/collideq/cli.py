@@ -14,7 +14,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional,
+from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 import numpy as np
@@ -44,9 +44,6 @@ from .tensor import DensityMatrix, QubitRegister, partial_trace, projector
 from .trajectories import ensemble_mean_heat
 
 HALF_PI = math.pi / 2
-
-COMMANDS = ("steady-state", "dynamics", "heat", "blp", "negativity",
-            "trajectories", "sweep", "limit-scan")
 
 # per-figure parameter bundles (omega = 1, gamma = 1 throughout), keyed by
 # option name; delta in radians
@@ -83,13 +80,6 @@ PRESETS: Dict[str, Dict] = {
     },
 }
 
-# per-command defaults of the dt and delta axes (key None: every other
-# command), used when no value, grid or preset pairs set them
-_DEFAULT_DTS = {"limit-scan": (1e-2, 5e-3, 2.5e-3, 1.25e-3), None: (0.1,)}
-_DEFAULT_DELTAS = {"blp": tuple(np.linspace(0.0, 0.95 * HALF_PI, 20)), None: (0.0,)}
-
-_SETTING_II_COMMANDS = ("sweep", "trajectories", "limit-scan")  # when no setting is chosen
-
 _RHO0 = {
     "excited": projector(0),
     "ground": projector(1),
@@ -98,21 +88,13 @@ _RHO0 = {
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.12g}"
-    return str(x)
+    return f"{x:.12g}" if isinstance(x, float) else str(x)  # NaN of either sign prints nan
 
 
 def write_csv(path: str, command: str, config: Dict, columns: Sequence[str],
               rows: Iterable[Sequence]) -> None:
-    lines = [f"# collideq {command}"]
-    for key in sorted(config):
-        lines.append(f"# {key}={config[key]}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines = [f"# collideq {command}", *(f"# {key}={config[key]}" for key in sorted(config)),
+             ",".join(columns), *(",".join(_fmt(x) for x in row) for row in rows)]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -140,6 +122,133 @@ def read_config_file(path: str) -> Dict[str, str]:
     return out
 
 
+class _Cell(NamedTuple):
+    """One grid cell, delta in radians; ``r`` is limit-scan's ratio dt/(1-delta)."""
+
+    setting: str
+    beta: float
+    dt: float
+    delta: float
+    r: Optional[float] = None
+
+
+def _config(res: Resolved, cell: _Cell) -> ModelConfig:
+    return ModelConfig(beta=cell.beta, dt=cell.dt, delta=cell.delta, omega=res.omega,
+                       gamma=res.gamma, setting=cell.setting)
+
+
+_NEGATIVITY_COLUMNS = ("n3", "n2_s_m0", "n2_s_m1", "n2_m0_m1")
+
+
+def _steady_cell(cfg: ModelConfig, negativities: bool) -> Dict[str, object]:
+    """Observables of one steady-state grid cell, keyed by CSV column."""
+    nan = math.nan
+    cell = dict.fromkeys(["g_e", "beta_e", "delta_beta", "heat_flux",
+                          *_NEGATIVITY_COLUMNS], nan)
+    try:
+        rho_star = steady_state(embedded_step_channel(cfg))
+    except NonUniqueSteadyState as err:
+        cell["status"] = f"nonunique:{err.multiplicity}"
+        return cell
+    except NumericalPositivityError:
+        cell["status"] = "nonpositive"
+        return cell
+    except FixedPointError:
+        cell["status"] = "fixed-point-failed"
+        return cell
+    est = effective_temperature(partial_trace(rho_star, ["S"]), cfg.omega)
+    cell.update(g_e=est.g_e, beta_e=est.beta_e, delta_beta=est.beta_e - cfg.beta,
+                heat_flux=steady_heat_flux_from_state(cfg, rho_star, bath=0), status="ok")
+    if negativities and cfg.setting == "I":
+        cell["n2_s_m0"] = negativity_2(rho_star)
+    elif negativities:
+        pairs = pair_negativities(rho_star)
+        cell.update(n3=tripartite_negativity(rho_star), n2_s_m0=pairs[("S", "M0")],
+                    n2_s_m1=pairs[("S", "M1")], n2_m0_m1=pairs[("M0", "M1")])
+    return cell
+
+
+def _steady_rows(res: Resolved, cell: _Cell) -> List[Sequence]:
+    columns = res.spec.columns
+    out = _steady_cell(_config(res, cell), negativities="n3" in columns)
+    out.update(cell._asdict())
+    return [[out[c] for c in columns]]
+
+
+def _dynamics_rows(res: Resolved, cell: _Cell) -> List[Sequence]:
+    n_steps = res.steps or max(1, int(math.ceil((res.t_final or 8.0) / cell.dt)))
+    result = evolve(_config(res, cell), res.rho0("excited"), n_steps)
+    readouts = zip(result.times, 1.0 - result.fidelity_to_gibbs, result.beta_e)
+    return [[*cell[:4], k, t, one_minus_f, beta_e, "ok"]
+            for k, (t, one_minus_f, beta_e) in enumerate(readouts, 1)]
+
+
+def _blp_rows(res: Resolved, cell: _Cell) -> List[Sequence]:
+    out = blp_measure(_config(res, cell), n_steps=res.steps)
+    return [[*cell[:4], out.value, *out.argmax_pair,
+             "ok" if out.converged else "unconverged"]]
+
+
+def _trajectory_rows(res: Resolved, cell: _Cell) -> List[Sequence]:
+    n_steps = res.steps or 100
+    cfg, rho0 = _config(res, cell), res.rho0("ground")
+    oracle = evolve(cfg, rho0, n_steps).q_lifecycle[:, 0]
+    rows = []
+    for m in res.traj_list or [1000]:
+        stats = ensemble_mean_heat(cfg, rho0, n_steps, m, master_seed=res.seed)
+        rows += ([cell.setting, m, k, k * cell.dt, *values, "ok"] for k, values in
+                 enumerate(zip(stats.mean_heat[:, 0], stats.std_error[:, 0], oracle), 1))
+    return rows
+
+
+def _limit_scan_rows(res: Resolved, cell: _Cell) -> List[Sequence]:
+    if 0.0 <= cell.delta < HALF_PI:
+        out = _steady_cell(_config(res, cell), negativities=False)
+    else:
+        out = {"delta_beta": math.nan, "heat_flux": math.nan, "status": "delta-out-of-range"}
+    return [[cell.setting, cell.beta, cell.r, cell.dt, 1.0 - cell.dt / cell.r, cell.delta,
+             out["delta_beta"], out["heat_flux"], out["status"]]]
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One command: its CSV columns, the rows of one grid cell, the dt and
+    delta axes it runs when none is given, and the settings it runs when
+    given both or none."""
+
+    columns: Tuple[str, ...]
+    rows: Callable[[Resolved, _Cell], List[Sequence]]
+    dts: Tuple[float, ...] = (0.1,)
+    deltas: Tuple[float, ...] = (0.0,)
+    settings: Tuple[str, ...] = ("I", "II")
+    one_cell: bool = False
+    # one cell per (r, dt), at delta = 1 - dt/r in delta units
+    delta_from_r: bool = False
+
+
+_CELL = ("setting", "beta", "dt", "delta")  # the columns of cell[:4]
+
+_COMMANDS: Dict[str, _Command] = {
+    "steady-state": _Command((*_CELL, "g_e", "beta_e", "delta_beta", "heat_flux", "status"),
+                             _steady_rows),
+    "dynamics": _Command((*_CELL, "step", "t", "one_minus_f", "beta_e", "status"),
+                         _dynamics_rows),
+    "heat": _Command((*_CELL, "heat_flux", "status"), _steady_rows),
+    "blp": _Command((*_CELL, "blp_value", "theta_opt", "phi_opt", "status"), _blp_rows,
+                    deltas=tuple(np.linspace(0.0, 0.95 * HALF_PI, 20))),
+    "negativity": _Command((*_CELL, *_NEGATIVITY_COLUMNS, "status"), _steady_rows),
+    "trajectories": _Command(("setting", "m", "step", "t", "mean_stoch_heat", "std_error",
+                              "unconditional_heat", "status"), _trajectory_rows,
+                             settings=("II",), one_cell=True),
+    "sweep": _Command(("beta", "dt", "delta", "delta_beta", "heat_flux",
+                       *_NEGATIVITY_COLUMNS, "status"), _steady_rows, settings=("II",)),
+    "limit-scan": _Command(("setting", "beta", "r", "dt", "delta", "delta_rad", "delta_beta",
+                            "heat_flux", "status"), _limit_scan_rows,
+                           dts=(1e-2, 5e-3, 2.5e-3, 1.25e-3), settings=("II",),
+                           delta_from_r=True),
+}
+
+
 @dataclass(frozen=True)
 class _Option:
     """One option: the commands that read it and how its text is parsed."""
@@ -161,8 +270,8 @@ class _Option:
         return value
 
 
-_ALL = frozenset(COMMANDS)
-_DELTA_AXIS = _ALL - {"limit-scan"}  # limit-scan derives delta from r and dt
+_ALL = frozenset(_COMMANDS)
+_DELTA_AXIS = frozenset(c for c, spec in _COMMANDS.items() if not spec.delta_from_r)
 
 # every option, flag and config key of the CLI; a flag is '--' plus the name
 # with '_' -> '-', and presets are keyed by the same names
@@ -201,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="multi-bath collision model experiments (CSV output)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
+    for command in _COMMANDS:
         p = sub.add_parser(command)
         for name, opt in _OPTIONS.items():
             if opt.flag:
@@ -224,6 +333,7 @@ class Resolved:
 
     def __init__(self, args: argparse.Namespace):
         self.command = args.command
+        self.spec = _COMMANDS[self.command]
         self.preset_name = args.preset or ""
         preset = PRESETS.get(self.preset_name, {})
         fileconf = read_config_file(args.config) if args.config else {}
@@ -240,7 +350,7 @@ class Resolved:
         if rejected:
             msg = f"{self.command} takes no {'; '.join(rejected)}"
             if unread(preset):
-                takers = [c for c in COMMANDS if all(c in _OPTIONS[k].commands for k in preset)]
+                takers = [c for c in _COMMANDS if all(c in _OPTIONS[k].commands for k in preset)]
                 msg += f"; preset {self.preset_name} is taken by {', '.join(takers)}"
             raise CollideqError(msg)
 
@@ -249,14 +359,15 @@ class Resolved:
         values = {**preset, **given}
         # limit-scan resolves delta from (r, dt); its natural units are half-pi
         self.delta_units = values.get("delta_units",
-                                      "half-pi" if self.command == "limit-scan" else "rad")
-        # flag and config deltas are in delta_units, preset deltas in radians
-        scale = HALF_PI if self.delta_units == "half-pi" else 1.0
+                                      "half-pi" if self.spec.delta_from_r else "rad")
+        # flag and config deltas, and limit-scan's, are in delta_units; preset
+        # deltas are in radians
+        self.delta_scale = HALF_PI if self.delta_units == "half-pi" else 1.0
         if "delta" in given:
-            values["delta"] = given["delta"] * scale
+            values["delta"] = given["delta"] * self.delta_scale
         if "delta_grid" in given:
             a, b, n = given["delta_grid"]
-            values["delta_grid"] = (a * scale, b * scale, n)
+            values["delta_grid"] = (a * self.delta_scale, b * self.delta_scale, n)
         # a value and its grid are one axis, and so are steps and t_final:
         # taken from the highest source that sets either; one source setting
         # both is rejected
@@ -286,22 +397,22 @@ class Resolved:
         self.traj_list = _as_list(values["traj"]) if "traj" in values else None
         self.rho0_name = values.get("rho0")
         self.settings = _as_list(values.get("setting", ["I", "II"]))
-        if self.command in _SETTING_II_COMMANDS and self.settings == ["I", "II"]:
-            self.settings = ["II"]
+        if self.settings == ["I", "II"]:
+            self.settings = list(self.spec.settings)
         if self.command == "sweep" and self.settings != ["II"]:
             raise CollideqError("sweep reports setting II observables; pass --setting II")
         self.betas = _as_list(values.get("beta", [1.0]))
         # preset (dt, delta) pairs drive dynamics unless a dt or delta is given
         explicit = {"dt", "dt_grid", "delta", "delta_grid"} & set(values)
         self.pairs = None if explicit else values.get("pairs")
-        self.dt_values = self._axis(values, "dt", 0, _DEFAULT_DTS)
-        self.delta_values = self._axis(values, "delta", 1, _DEFAULT_DELTAS)
+        self.dt_values = self._axis(values, "dt", 0, self.spec.dts)
+        self.delta_values = self._axis(values, "delta", 1, self.spec.deltas)
         self.r_values = [values["r"]] if "r" in values else values.get("r_list", [5.0, 0.1])
         if any(r <= 0 for r in self.r_values):
             raise InvalidParameter(f"limit-scan ratios must be positive (got {self.r_values})")
         self.out = values.get("out", f"collideq_{self.command}.csv")
 
-    def _axis(self, values: Dict, name: str, index: int, defaults: Dict) -> np.ndarray:
+    def _axis(self, values: Dict, name: str, index: int, default: Tuple) -> np.ndarray:
         """The values of the dt or delta axis: its value or grid (at most one
         is left), the preset pairs' entry ``index`` or the command default."""
         if name in values:
@@ -310,15 +421,23 @@ class Resolved:
             return np.linspace(*values[name + "_grid"])
         if self.pairs is not None:
             return np.array([pair[index] for pair in self.pairs])
-        return np.array(defaults.get(self.command, defaults[None]))
+        return np.array(default)
 
-    def cells(self) -> Iterator[Tuple[str, float, float, float]]:
-        """``(setting, beta, dt, delta)`` of every cell, in row order: the
-        preset pairs if there are any, else every dt x delta combination."""
-        pairs = self.pairs or [(dt, delta) for dt in self.dt_values
-                               for delta in self.delta_values]
-        for setting, beta, (dt, delta) in itertools.product(self.settings, self.betas, pairs):
-            yield setting, beta, float(dt), float(delta)
+    def cells(self) -> List[_Cell]:
+        """Every cell, in row order: the preset pairs if there are any, else
+        every dt x delta combination (limit-scan: every r x dt)."""
+        if self.spec.delta_from_r:
+            axes = [(dt, (1.0 - dt / r) * self.delta_scale, r)
+                    for r in self.r_values for dt in self.dt_values]
+        else:
+            axes = [(dt, delta, None) for dt, delta in
+                    self.pairs or itertools.product(self.dt_values, self.delta_values)]
+        cells = [_Cell(setting, beta, float(dt), float(delta), r) for setting, beta, (dt, delta, r)
+                 in itertools.product(self.settings, self.betas, axes)]
+        if self.spec.one_cell and len(cells) > 1:
+            raise CollideqError(f"{self.command} runs one (beta, dt, delta) cell; "
+                                f"got several ({len(cells)})")
+        return cells
 
     def rho0(self, default: str) -> DensityMatrix:
         return DensityMatrix(QubitRegister(["S"]), _RHO0[self.rho0_name or default])
@@ -335,160 +454,25 @@ class Resolved:
             "delta_units": self.delta_units,
             "dt_values": ",".join(_fmt(v) for v in self.dt_values),
         }
-        if self.command in _DELTA_AXIS:
+        if not self.spec.delta_from_r:
             out["delta_values_rad"] = ",".join(_fmt(v) for v in self.delta_values)
         optional = {"steps": self.steps, "t_final": self.t_final, "traj": self.traj_list,
                     "rho0": self.rho0_name,
-                    "r_values": self.r_values if self.command == "limit-scan" else None}
+                    "r_values": self.r_values if self.spec.delta_from_r else None}
         out.update((key, ",".join(_fmt(v) for v in _as_list(value)))
                    for key, value in optional.items() if value is not None)
         return out
-
-
-def _config(res: Resolved, setting: str, beta: float, dt: float, delta: float) -> ModelConfig:
-    return ModelConfig(beta=beta, dt=dt, delta=delta, omega=res.omega,
-                       gamma=res.gamma, setting=setting)
-
-
-_NEGATIVITY_COLUMNS = ["n3", "n2_s_m0", "n2_s_m1", "n2_m0_m1"]
-
-# output columns of the commands that evaluate one steady state per grid cell
-_GRID_COLUMNS = {
-    "steady-state": ["setting", "beta", "dt", "delta", "g_e", "beta_e", "delta_beta",
-                     "heat_flux", "status"],
-    "heat": ["setting", "beta", "dt", "delta", "heat_flux", "status"],
-    "negativity": ["setting", "beta", "dt", "delta", *_NEGATIVITY_COLUMNS, "status"],
-    "sweep": ["beta", "dt", "delta", "delta_beta", "heat_flux", *_NEGATIVITY_COLUMNS,
-              "status"],
-}
-
-
-def _steady_cell(cfg: ModelConfig, negativities: bool) -> Dict[str, object]:
-    """Observables of one steady-state grid cell, keyed by CSV column."""
-    nan = math.nan
-    cell = dict.fromkeys(["g_e", "beta_e", "delta_beta", "heat_flux",
-                          *_NEGATIVITY_COLUMNS], nan)
-    try:
-        rho_star = steady_state(embedded_step_channel(cfg))
-    except NonUniqueSteadyState as err:
-        cell["status"] = f"nonunique:{err.multiplicity}"
-        return cell
-    except NumericalPositivityError:
-        cell["status"] = "nonpositive"
-        return cell
-    except FixedPointError:
-        cell["status"] = "fixed-point-failed"
-        return cell
-    est = effective_temperature(partial_trace(rho_star, ["S"]), cfg.omega)
-    cell.update(g_e=est.g_e, beta_e=est.beta_e, delta_beta=est.beta_e - cfg.beta,
-                heat_flux=steady_heat_flux_from_state(cfg, rho_star, bath=0), status="ok")
-    if negativities and cfg.setting == "I":
-        cell["n2_s_m0"] = negativity_2(rho_star)
-    elif negativities:
-        pairs = pair_negativities(rho_star)
-        cell.update(n3=tripartite_negativity(rho_star), n2_s_m0=pairs[("S", "M0")],
-                    n2_s_m1=pairs[("S", "M1")], n2_m0_m1=pairs[("M0", "M1")])
-    return cell
-
-
-def cmd_steady_grid(res: Resolved) -> Tuple[List[str], List[Sequence]]:
-    """``steady-state``, ``heat``, ``negativity`` and ``sweep``: one row per cell."""
-    columns = _GRID_COLUMNS[res.command]
-    negativities = "n3" in columns
-    rows = []
-    for setting, beta, dt, delta in res.cells():
-        cell = _steady_cell(_config(res, setting, beta, dt, delta), negativities)
-        cell.update(setting=setting, beta=beta, dt=dt, delta=delta)
-        rows.append([cell[c] for c in columns])
-    return columns, rows
-
-
-def cmd_dynamics(res: Resolved) -> Tuple[List[str], List[Sequence]]:
-    columns = ["setting", "beta", "dt", "delta", "step", "t", "one_minus_f",
-               "beta_e", "status"]
-    rho0 = res.rho0("excited")
-    t_final = res.t_final if res.t_final is not None else 8.0
-    rows = []
-    for setting, beta, dt, delta in res.cells():
-        n_steps = res.steps or max(1, int(math.ceil(t_final / dt)))
-        result = evolve(_config(res, setting, beta, dt, delta), rho0, n_steps)
-        readouts = zip(result.times, 1.0 - result.fidelity_to_gibbs, result.beta_e)
-        for k, (t, one_minus_f, beta_e) in enumerate(readouts, 1):
-            rows.append([setting, beta, dt, delta, k, t, one_minus_f, beta_e, "ok"])
-    return columns, rows
-
-
-def cmd_blp(res: Resolved) -> Tuple[List[str], List[Sequence]]:
-    columns = ["setting", "beta", "dt", "delta", "blp_value", "theta_opt",
-               "phi_opt", "status"]
-    rows = []
-    for setting, beta, dt, delta in res.cells():
-        out = blp_measure(_config(res, setting, beta, dt, delta), n_steps=res.steps)
-        status = "ok" if out.converged else "unconverged"
-        rows.append([setting, beta, dt, delta, out.value,
-                     out.argmax_pair[0], out.argmax_pair[1], status])
-    return columns, rows
-
-
-def cmd_trajectories(res: Resolved) -> Tuple[List[str], List[Sequence]]:
-    columns = ["setting", "m", "step", "t", "mean_stoch_heat", "std_error",
-               "unconditional_heat", "status"]
-    (setting, beta, dt, delta), *more = res.cells()
-    if more:
-        raise CollideqError(f"trajectories runs one (beta, dt, delta) cell; "
-                            f"got several ({1 + len(more)})")
-    n_steps = res.steps or 100
-    traj_list = res.traj_list or [1000]
-    cfg = _config(res, setting, beta, dt, delta)
-    rho0 = res.rho0("ground")
-    oracle = evolve(cfg, rho0, n_steps)
-    rows = []
-    for m in traj_list:
-        stats = ensemble_mean_heat(cfg, rho0, n_steps, m, master_seed=res.seed)
-        for k in range(n_steps):
-            rows.append([setting, m, k + 1, (k + 1) * dt,
-                         stats.mean_heat[k, 0], stats.std_error[k, 0],
-                         oracle.q_lifecycle[k, 0], "ok"])
-    return columns, rows
-
-
-def cmd_limit_scan(res: Resolved) -> Tuple[List[str], List[Sequence]]:
-    columns = ["setting", "beta", "r", "dt", "delta", "delta_rad", "delta_beta",
-               "heat_flux", "status"]
-    scale = HALF_PI if res.delta_units == "half-pi" else 1.0
-    rows = []
-    for setting, beta, r, dt in itertools.product(res.settings, res.betas, res.r_values,
-                                                  res.dt_values):
-        delta_units = 1.0 - float(dt) / r
-        delta_rad = delta_units * scale
-        if not (0.0 <= delta_rad < HALF_PI):
-            rows.append([setting, beta, r, dt, delta_units, delta_rad,
-                         math.nan, math.nan, "delta-out-of-range"])
-            continue
-        cell = _steady_cell(_config(res, setting, beta, float(dt), delta_rad),
-                            negativities=False)
-        rows.append([setting, beta, r, dt, delta_units, delta_rad,
-                     cell["delta_beta"], cell["heat_flux"], cell["status"]])
-    return columns, rows
-
-
-_DISPATCH = {
-    **dict.fromkeys(_GRID_COLUMNS, cmd_steady_grid),
-    "dynamics": cmd_dynamics,
-    "blp": cmd_blp,
-    "trajectories": cmd_trajectories,
-    "limit-scan": cmd_limit_scan,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         res = Resolved(args)
-        columns, rows = _DISPATCH[res.command](res)
+        rows = [row for cell in res.cells() for row in res.spec.rows(res, cell)]
     except (CollideqError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    columns = res.spec.columns
     write_csv(res.out, res.command, res.echo(), columns, rows)
     status_idx = columns.index("status")
     flagged = sum(1 for row in rows if row[status_idx] != "ok")

@@ -313,12 +313,8 @@ class _StepOps:
         return self.readout[:4]
 
     def attach(self, mats: np.ndarray) -> np.ndarray:
-        """Compounds ``kron(m, fresh_state)``: fresh memories for each system matrix ``m`` of a stack.
-
-        One product per entry, bit-identical to ``kron``.
-        """
-        t = mats[..., :, None, :, None] * self.fresh_state[:, None, :]
-        return t.reshape(mats.shape[:-2] + (t.shape[-4] * t.shape[-3],) * 2)
+        """Compounds ``kron(m, fresh_state)``: fresh memories for each matrix ``m`` of a stack."""
+        return np.kron(mats, self.fresh_state)
 
     def propagate(self, v: np.ndarray, n_steps: int) -> Iterator[np.ndarray]:
         """Yield ``superop @ v`` after each of ``n_steps`` steps (``v``: vec or column block)."""

@@ -213,21 +213,16 @@ def ensemble_mean_heat(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int,
         sum_fin_re2 += (finals.real ** 2).sum(axis=0)
         sum_fin_im2 += (finals.imag ** 2).sum(axis=0)
     mean = sum_h / m
-    if m > 1:
-        var = np.maximum(sum_h2 - m * mean * mean, 0.0) / (m - 1)
-    else:
-        var = np.zeros_like(mean)
-    se = np.sqrt(var / m)
     mean_fin = sum_fin / m
-    if m > 1:
-        var_fin = (np.maximum(sum_fin_re2 - m * mean_fin.real ** 2, 0.0)
-                   + np.maximum(sum_fin_im2 - m * mean_fin.imag ** 2, 0.0)) / (m - 1)
-    else:
-        var_fin = np.zeros((2, 2))
+    # at m = 1 each sum of squares equals m * mean**2 exactly, so the variances are 0
+    dof = max(m - 1, 1)
+    var = np.maximum(sum_h2 - m * mean * mean, 0.0) / dof
+    var_fin = (np.maximum(sum_fin_re2 - m * mean_fin.real ** 2, 0.0)
+               + np.maximum(sum_fin_im2 - m * mean_fin.imag ** 2, 0.0)) / dof
     return EnsembleStats(
         n_trajectories=m,
         mean_heat=mean,
-        std_error=se,
+        std_error=np.sqrt(var / m),
         mean_final_state=mean_fin,
         se_final_state=np.sqrt(var_fin / m),
     )

@@ -111,3 +111,9 @@ def test_default_horizon_sets_series_length(setting):
     assert len(res.series) == default_n_steps(c) + 1
     # the series is the best pair's: it ends at its final distance
     assert abs(res.series[-1] - res.final_distance) < 1e-14
+
+
+@pytest.mark.parametrize("setting", ["I", "II"])
+def test_zero_steps_rejected(setting):
+    with pytest.raises(InvalidParameter, match="n_steps"):
+        blp_measure(cfg(setting), n_steps=0)

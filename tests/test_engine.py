@@ -890,3 +890,15 @@ class TestSteadyHeatFlux:
         f0 = steady_heat_flux_from_state(cfg, rho, 0)
         f1 = steady_heat_flux_from_state(cfg, rho, 1)
         assert abs(f0 + f1) < 1e-12
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: evolve(cfg_i(), sys_dm(projector(0)), 0), "n_steps"),
+    (lambda: steady_heat_flux_from_state(
+        cfg_ii(dt=0.1), steady_state(embedded_step_channel(cfg_ii(dt=0.1))), bath=2), "bath"),
+    (lambda: cfg_i().bath_state(1), "single bath"),
+    (lambda: cfg_ii().bath_state(2), "baths 0 and 1"),
+], ids=["evolve-zero-steps", "heat-flux-third-bath", "setting1-bath-1", "setting2-bath-2"])
+def test_input_checks_raise(call, match):
+    with pytest.raises(InvalidParameter, match=match):
+        call()

@@ -107,3 +107,10 @@ class TestIntegrate:
         spec = thermal_qubit_spec(1.0, 200.0, 0.05)
         with pytest.raises(IntegrationUnstable):
             integrate(spec, projector(0), t_final=2.0, h_step=0.5)
+
+
+@pytest.mark.parametrize("h_step", [0.0, -0.01])
+def test_nonpositive_step_rejected(h_step):
+    spec = thermal_qubit_spec(omega=1.0, gamma=1.0, beta=2.0)
+    with pytest.raises(InvalidParameter, match="h_step"):
+        integrate(spec, projector(0).astype(complex), 1.0, h_step)

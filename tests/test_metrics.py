@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from collideq.errors import DimensionMismatch, InvalidParameter, NotDiagonal
+from collideq.errors import DimensionMismatch, InvalidParameter, InvalidSubsystem, NotDiagonal
 from collideq.metrics import (
     EffectiveTemperature,
     ThermalParams,
@@ -290,3 +290,25 @@ class TestNegativity:
         assert abs(pairs[("A", "B")] - 1.0) < 1e-12
         assert pairs[("A", "C")] < 1e-12
         assert pairs[("B", "C")] < 1e-12
+
+
+_QUBIT = dm(["S"], np.diag([0.7, 0.3]).astype(complex))
+_PAIR = dm(["S", "M"], np.eye(4, dtype=complex) / 4)
+_TRIPLE = dm(["S", "M0", "M1"], np.eye(8, dtype=complex) / 8)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: effective_temperature(_PAIR, 1.0), DimensionMismatch),
+    (lambda: effective_temperature(_QUBIT, 0.0), InvalidParameter),
+    (lambda: effective_temperature(_QUBIT, -1.0), InvalidParameter),
+    (lambda: negativity_2(_TRIPLE), DimensionMismatch),
+    (lambda: negativity_bipartition(_PAIR, "S"), DimensionMismatch),
+    (lambda: tripartite_negativity(_PAIR), DimensionMismatch),
+    (lambda: pair_negativities(_PAIR), DimensionMismatch),
+    (lambda: negativity_bipartition(_TRIPLE, "X"), InvalidSubsystem),
+], ids=["beta-e-two-qubits", "beta-e-zero-omega", "beta-e-negative-omega",
+        "negativity-2-three-qubits", "bipartition-two-qubits", "tripartite-two-qubits",
+        "pairs-two-qubits", "bipartition-unknown-label"])
+def test_input_checks_raise(call, error):
+    with pytest.raises(error):
+        call()

@@ -398,3 +398,17 @@ class TestValidation:
         bad[1, 1] = value
         with pytest.raises(ValueError, match="non-finite"):
             HermitianOp(QubitRegister(["A"]), bad)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: HermitianOp(QubitRegister(["S"]), np.array([[0.0, 1.0], [0.0, 0.0]])),
+     NotHermitian),
+    (lambda: QubitRegister([]), InvalidSubsystem),
+    (lambda: QubitRegister(["S", "M"]).positions(["S", "S"]), InvalidSubsystem),
+    (lambda: partial_trace(DensityMatrix(QubitRegister(["S", "M"]), np.eye(4) / 4), []),
+     InvalidSubsystem),
+], ids=["finite-non-hermitian-op", "empty-register", "repeated-position-label",
+        "partial-trace-keeps-nothing"])
+def test_input_checks_raise(call, error):
+    with pytest.raises(error):
+        call()
