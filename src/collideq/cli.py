@@ -408,8 +408,9 @@ class Resolved:
         self.dt_values = self._axis(values, "dt", 0, self.spec.dts)
         self.delta_values = self._axis(values, "delta", 1, self.spec.deltas)
         self.r_values = [values["r"]] if "r" in values else values.get("r_list", [5.0, 0.1])
-        if any(r <= 0 for r in self.r_values):
-            raise InvalidParameter(f"limit-scan ratios must be positive (got {self.r_values})")
+        if not all(0 < r < math.inf for r in self.r_values):  # NaN fails too
+            raise InvalidParameter(
+                f"limit-scan ratios must be positive and finite (got {self.r_values})")
         self.out = values.get("out", f"collideq_{self.command}.csv")
 
     def _axis(self, values: Dict, name: str, index: int, default: Tuple) -> np.ndarray:

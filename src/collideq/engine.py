@@ -227,23 +227,18 @@ def _readout_pieces(n_baths: int, omega: float):
     """The readout operators of one (n_baths, omega) that no collision enters.
 
     ``(system_rows, energies)``: the four system-marginal rows, and per bath
-    ``(H_m, E_out x 1, 1 x H_m)``, its memory energy on the compound and
-    the outgoing memory's and the new memory's energies on (joint outcome,
-    compound).
+    ``(H_m, e_m)``, its memory energy on the compound and the vector of the
+    outgoing memory's energy over the joint outcomes.
     """
     compound = _compound_register(n_baths)
     mem = compound.labels[1:]
-    d = compound.dim
     h_qubit = 0.5 * omega * SIGMA_Z
-    energies = []
-    for m in mem:
-        h_m = embed(h_qubit, [m], compound)
-        e_out = embed(h_qubit, [m], QubitRegister(mem))
-        energies.append(_read_only(h_m, np.kron(e_out, np.eye(d)),
-                                   np.kron(np.eye(len(e_out)), h_m)))
-    rows = _read_only(*(np.kron(e, np.eye(d // 2)).reshape(-1)
+    energies = tuple(_read_only(embed(h_qubit, [m], compound),
+                                embed(h_qubit, [m], QubitRegister(mem)).diagonal().real)
+                     for m in mem)
+    rows = _read_only(*(np.kron(e, np.eye(compound.dim // 2)).reshape(-1)
                         for e in np.eye(4).reshape(4, 2, 2)))
-    return rows, tuple(energies)
+    return rows, energies
 
 
 class _StepOps:
@@ -268,10 +263,11 @@ class _StepOps:
     vec(compound), and ``readout`` holds rows on the same vector. Rows 0-3
     give the system marginal (entries 00, 01, 10, 11). Each bath then has
     three heat rows, one operator each on the pre-step compound: ``q_sa =
-    U^dag H_m U - H_m``, ``q_intra_out = after(E_out x 1) - U^dag H_m U`` and
-    the next unit's ``q_intra_in = after(1 x H_m) - e_fresh 1``, where
-    ``after(x) = sum_c p_c J_c^dag x J_c`` reads ``x`` (on joint outcome and
-    compound) after the step and ``E_out`` is the outgoing memory's energy.
+    U^dag H_m U - H_m``, ``q_intra_out = sum_o e_m(o) E_o - U^dag H_m U``
+    and the next unit's ``q_intra_in = S^dag(H_m) - e_fresh 1``. Here
+    ``E_o = sum_c p_c K_co^dag K_co`` is the effect of joint outcome ``o``,
+    ``e_m(o)`` the outgoing memory's energy in it, and ``S^dag(H_m)`` the
+    memory energy after the step, where the fresh unit has become the memory.
     """
 
     def __init__(self, cfg: ModelConfig):
@@ -289,20 +285,17 @@ class _StepOps:
         self.superop = np.einsum("coai,cobj->ijab", p[:, None, None, None] * k,
                                  k.conj()).reshape(d * d, d * d).T
 
-        joint_dag = self.joint.conj().swapaxes(1, 2)
-
-        def after(x):  # x on (joint outcome, compound), read after the step
-            return np.tensordot(p, joint_dag @ x @ self.joint, 1)
-
+        # the effect sum_c p_c K_co^dag K_co of each joint outcome o
+        effects = np.tensordot(p, k.conj().swapaxes(-1, -2) @ k, 1)
         system_rows, energies = _readout_pieces(cfg.n_baths, cfg.omega)
-        heats = []
-        for (h_m, e_out, e_next), e_fresh in zip(energies,
-                                                 0.5 * cfg.omega * (pops[:, 0] - pops[:, 1])):
-            h_mid = u.conj().T @ h_m @ u
-            heats += [h_mid - h_m, after(e_out) - h_mid, after(e_next) - e_fresh * np.eye(d)]
         # Tr[O rho] is the row O^T on the row-major vec(rho)
-        self.readout = np.array([*system_rows, *(o.T.reshape(-1) for o in heats)],
-                                dtype=complex)
+        rows = list(system_rows)
+        for (h_m, e_m), e_fresh in zip(energies, 0.5 * cfg.omega * (pops[:, 0] - pops[:, 1])):
+            h_mid = u.conj().T @ h_m @ u
+            rows += [(h_mid - h_m).T.reshape(-1),
+                     (np.tensordot(e_m, effects, 1) - h_mid).T.reshape(-1),
+                     h_m.T.reshape(-1) @ self.superop - e_fresh * np.eye(d).reshape(-1)]
+        self.readout = np.array(rows, dtype=complex)
 
     @property
     def compound_dim(self) -> int:
@@ -352,7 +345,7 @@ def _step_ops(cfg: ModelConfig) -> _StepOps:
     configurations, each from its own bounded cache: ``_collision`` keyed
     by (setting, beta, dt, omega, gamma), ``_bath_pieces`` (fresh state,
     lifted intra Kraus stack, populations) by (setting, beta, omega, delta),
-    and ``_readout_pieces`` (system rows and memory energies) by
+    and ``_readout_pieces`` (system rows, memory and outcome energies) by
     (n_baths, omega). A grid row at fixed dt so builds its collision once.
     """
     ops = _StepOps(cfg)
@@ -377,7 +370,6 @@ class StepChannel:
 
     register: QubitRegister
     superop: np.ndarray = field(repr=False)
-    description: str = ""
 
     @property
     def dim(self) -> int:
@@ -391,11 +383,7 @@ class StepChannel:
 def embedded_step_channel(cfg: ModelConfig) -> StepChannel:
     """One-step channel on the system+memory compound (works for delta = 0 too)."""
     ops = _step_ops(cfg)
-    return StepChannel(
-        register=ops.compound_register,
-        superop=ops.superop,
-        description=f"setting {cfg.setting} embedded, dt={cfg.dt:g}, delta={cfg.delta:g}",
-    )
+    return StepChannel(register=ops.compound_register, superop=ops.superop)
 
 
 def markovian_step(cfg: ModelConfig, rho_s: DensityMatrix) -> Tuple[DensityMatrix, Tuple[HeatRecord, ...]]:
@@ -417,11 +405,7 @@ def markovian_channel(cfg: ModelConfig) -> StepChannel:
     # columns: vec(E_ij x fresh memories) for the four system basis matrices E_ij
     attach = ops.attach(np.eye(4, dtype=complex).reshape(4, 2, 2)).reshape(4, -1).T
     superop = ops.system_rows @ ops.superop @ attach
-    return StepChannel(
-        register=QubitRegister(["S"]),
-        superop=superop,
-        description=f"setting {cfg.setting} markovian, dt={cfg.dt:g}",
-    )
+    return StepChannel(register=QubitRegister(["S"]), superop=superop)
 
 
 def _power_fixed_point(block: np.ndarray, trace_vec: np.ndarray) -> np.ndarray:

@@ -8,14 +8,15 @@ stepped with classical fourth-order Runge-Kutta.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, IntegrationUnstable, InvalidParameter
+from .errors import DimensionMismatch, IntegrationUnstable, InvalidParameter, NotHermitian
 from .metrics import nbar
-from .tensor import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, _as_matrix
+from .tensor import ENTRY_TOL, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, _as_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -27,8 +28,9 @@ _UNSTABLE_TOL = 1e-6
 class LindbladSpec:
     """System Hamiltonian (may be None to drop the commutator) plus jump terms.
 
-    Each jump is an ``(operator, rate)`` pair with nonnegative rate; all
-    operators share the system dimension.
+    ``h_sys`` must be Hermitian to 1e-12. Each jump is an ``(operator,
+    rate)`` pair with a finite nonnegative rate; all operators share the
+    system dimension.
     """
 
     h_sys: Optional[np.ndarray]
@@ -37,11 +39,14 @@ class LindbladSpec:
     def __post_init__(self):
         dims = set()
         if self.h_sys is not None:
-            dims.add(_as_matrix(self.h_sys).shape[0])
+            h = _as_matrix(self.h_sys)
+            if not np.abs(h - h.conj().T).max() <= ENTRY_TOL:  # written so NaN fails too
+                raise NotHermitian("h_sys is not Hermitian to 1e-12")
+            dims.add(h.shape[0])
         jumps = []
         for op, rate in self.jumps:
-            if rate < 0:
-                raise InvalidParameter(f"jump rate {rate} must be nonnegative")
+            if not 0 <= rate < math.inf:
+                raise InvalidParameter(f"jump rate {rate} must be finite and nonnegative")
             op = _as_matrix(op)
             dims.add(op.shape[0])
             jumps.append((op, float(rate)))
@@ -120,7 +125,7 @@ def integrate(spec: LindbladSpec, rho0: np.ndarray, t_final: float,
         rho = rho + (h_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         tr = np.trace(rho.reshape(d, d)).real
         drift = abs(tr - 1.0)
-        if drift > _UNSTABLE_TOL:
+        if not drift <= _UNSTABLE_TOL:  # written so a NaN trace fails too
             raise IntegrationUnstable(
                 f"trace drift {drift:.2e} at t={times[k]:.4g}; reduce h_step"
             )

@@ -154,10 +154,6 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
         _check_density_stack(mat[None])
 
-    @property
-    def dim(self) -> int:
-        return self.register.dim
-
 
 @dataclass(frozen=True, eq=False)
 class HermitianOp:
@@ -186,11 +182,6 @@ class UnitaryOp:
         dev = np.abs(mat @ mat.conj().T - np.eye(self.register.dim)).max()
         if dev > STRUCT_TOL:
             raise ValueError(f"operator fails unitarity by {dev:.2e} (> 1e-10)")
-
-
-def matrices_close(a, b, tol: float = ENTRY_TOL) -> bool:
-    """Entrywise equality within an absolute tolerance (default 1e-12)."""
-    return bool(np.abs(_as_matrix(a) - _as_matrix(b)).max() <= tol)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

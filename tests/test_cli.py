@@ -477,7 +477,8 @@ class TestLimitScan:
         _, _, rows = read_rows(out)
         assert rows[0]["status"] == "delta-out-of-range"
 
-    @pytest.mark.parametrize("args", [["--r", "0"], ["--r-list", "5,-0.1"]])
+    @pytest.mark.parametrize("args", [["--r", "0"], ["--r-list", "5,-0.1"],
+                                      ["--r", "nan"], ["--r", "inf"]])
     def test_nonpositive_ratio_rejected(self, tmp_path, capsys, args):
         out = tmp_path / "ls.csv"
         code = run_cli(["limit-scan", "--beta", "2", *args, "--out", str(out)])

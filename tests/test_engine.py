@@ -451,7 +451,7 @@ class TestSteadyState:
         assert abs((est.g_e - g) / dt - coef) / coef < 0.01
 
     def test_identity_channel_degenerate(self):
-        ch = StepChannel(QubitRegister(["S"]), np.eye(4, dtype=complex), "identity")
+        ch = StepChannel(QubitRegister(["S"]), np.eye(4, dtype=complex))
         with pytest.raises(NonUniqueSteadyState) as err:
             steady_state(ch)
         assert err.value.multiplicity >= 2
@@ -635,7 +635,9 @@ class TestCoreCaches:
             arrays.append(engine._collision(cfg.setting, cfg.beta, cfg.dt, cfg.omega, cfg.gamma))
             arrays += engine._bath_pieces(cfg.setting, cfg.beta, cfg.omega, cfg.delta)
             rows, energies = engine._readout_pieces(cfg.n_baths, cfg.omega)
-            arrays += [*rows, *(a for triple in energies for a in triple)]
+            arrays += rows
+            for h_m, e_m in energies:
+                arrays += [h_m, e_m]
             arrays += tensor.connected_blocks(ops.superop != 0)
             assert len(arrays) > 10
             for a in arrays:

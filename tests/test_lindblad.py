@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from collideq.errors import DimensionMismatch, IntegrationUnstable, InvalidParameter
+from collideq.errors import DimensionMismatch, IntegrationUnstable, InvalidParameter, NotHermitian
 from collideq.lindblad import LindbladSpec, dissipator, integrate, thermal_qubit_spec
 from collideq.metrics import gibbs_qubit, nbar
 from collideq.tensor import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, projector
@@ -41,6 +41,16 @@ class TestSpec:
     def test_negative_rate_rejected(self):
         with pytest.raises(InvalidParameter):
             LindbladSpec(h_sys=None, jumps=((SIGMA_MINUS, -1.0),))
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        # a NaN rate passes `rate < 0`
+        with pytest.raises(InvalidParameter):
+            LindbladSpec(h_sys=None, jumps=((SIGMA_MINUS, rate),))
+
+    def test_non_hermitian_hamiltonian_rejected(self):
+        with pytest.raises(NotHermitian):
+            LindbladSpec(h_sys=np.array([[0.0, 1.0], [0.0, 0.0]]), jumps=((SIGMA_MINUS, 1.0),))
 
     def test_mixed_dims_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -107,6 +117,12 @@ class TestIntegrate:
         spec = thermal_qubit_spec(1.0, 200.0, 0.05)
         with pytest.raises(IntegrationUnstable):
             integrate(spec, projector(0), t_final=2.0, h_step=0.5)
+
+    def test_nan_trace_raises(self):
+        # a NaN drift passes every `drift > tol` comparison
+        spec = thermal_qubit_spec(1.0, 1.0, 2.0)
+        with pytest.raises(IntegrationUnstable):
+            integrate(spec, np.full((2, 2), np.nan), t_final=0.1, h_step=0.01)
 
 
 @pytest.mark.parametrize("h_step", [0.0, -0.01])

@@ -407,8 +407,10 @@ class TestValidation:
     (lambda: QubitRegister(["S", "M"]).positions(["S", "S"]), InvalidSubsystem),
     (lambda: partial_trace(DensityMatrix(QubitRegister(["S", "M"]), np.eye(4) / 4), []),
      InvalidSubsystem),
+    (lambda: eig_hermitian(np.ones((2, 3))), DimensionMismatch),
+    (lambda: DensityMatrix(QubitRegister(["A"]), np.eye(4) / 4), DimensionMismatch),
 ], ids=["finite-non-hermitian-op", "empty-register", "repeated-position-label",
-        "partial-trace-keeps-nothing"])
+        "partial-trace-keeps-nothing", "non-square-matrix", "matrix-register-size-mismatch"])
 def test_input_checks_raise(call, error):
     with pytest.raises(error):
         call()
