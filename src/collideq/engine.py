@@ -19,11 +19,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     FixedPointError,
     InvalidParameter,
     NonUniqueSteadyState,
@@ -438,42 +439,16 @@ def _power_fixed_point(block: np.ndarray, trace_vec: np.ndarray) -> np.ndarray:
     return v
 
 
-def _block_moduli(superop: np.ndarray, d: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """``(block, |eigenvalues|)`` of each connected component of ``superop != 0``.
-
-    A channel that preserves Hermiticity, S(X^dag) = S(X)^dag, maps the
-    block of coherence order -k to the conjugate of the +k block, with
-    index ``(i, j)`` read as ``(j, i)``. Where the mapped block is exactly
-    the entrywise conjugate of a block already solved, it has the same
-    moduli and takes them; any other block gets its own ``eigvals``.
-    """
-    mirror = np.arange(d * d).reshape(d, d).T.reshape(-1)  # vec(|j><i|) of vec(|i><j|)
-    seen = {}  # smallest index of a block -> (block, moduli)
-    out = []
-    for block in connected_blocks(superop != 0):
-        sub = superop[np.ix_(block, block)]
-        image = mirror[block]
-        twin = seen.get(image.min())
-        if (twin is not None and np.array_equal(np.sort(image), twin[0])
-                and np.array_equal(superop[np.ix_(image, image)], sub.conj())):
-            m = twin[1]
-        else:
-            m = np.abs(np.linalg.eigvals(sub))
-        seen[block[0]] = (block, m)
-        out.append((block, m))
-    return out
-
-
 def steady_state(channel: StepChannel) -> DensityMatrix:
     """Unique fixed point of a trace-preserving one-step channel.
 
     ``S`` is split into the connected components of its exact nonzero
     pattern (a dense ``S`` is one); for these collisions they are the
-    coherence-order blocks. ``eigvals`` per component gives the peripheral
-    count (more than one raises :class:`NonUniqueSteadyState`) and the
-    spectral gap; a block that is exactly the conjugate of its mirror's
-    takes the mirror's moduli (:func:`_block_moduli`). The components holding a diagonal entry form the trace
-    block, which must hold the peripheral eigenvalue. There the fixed point
+    coherence-order blocks. One ``eigvals`` per component, every component
+    alike, gives the moduli behind the peripheral count (more than one
+    raises :class:`NonUniqueSteadyState`) and the spectral gap. The
+    components holding a diagonal entry form the trace block, which must
+    hold the peripheral eigenvalue. There the fixed point
     solves ``S - 1`` with its first row replaced by the trace functional and
     right-hand side ``e_0`` (singular: no unique unit-trace fixed point),
     cross-checked by power iteration to a tolerance that widens from 1e-12
@@ -488,7 +463,8 @@ def steady_state(channel: StepChannel) -> DensityMatrix:
     on_diagonal = np.zeros(d * d, dtype=bool)
     on_diagonal[::d + 1] = True
     moduli, trace_block, trace_moduli = [], [], []
-    for block, m in _block_moduli(superop, d):
+    for block in connected_blocks(superop != 0):
+        m = np.abs(np.linalg.eigvals(superop[np.ix_(block, block)]))
         moduli.append(m)
         if on_diagonal[block].any():
             trace_block.append(block)
@@ -629,5 +605,8 @@ def steady_heat_flux_from_state(cfg: ModelConfig, rho_star: DensityMatrix,
     if not (0 <= bath < cfg.n_baths):
         raise InvalidParameter(f"bath must index one of {cfg.n_baths} baths")
     ops = _step_ops(cfg)
+    if rho_star.register != ops.compound_register:
+        raise DimensionMismatch(f"state on {rho_star.register.labels}, "
+                                f"not the compound {ops.compound_register.labels}")
     q_sa, _, _ = ops.heats(ops.readout @ rho_star.mat.reshape(-1))
     return float(q_sa[bath]) / cfg.dt

@@ -14,9 +14,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, IntegrationUnstable, InvalidParameter, NotHermitian
+from .errors import DimensionMismatch, IntegrationUnstable, InvalidParameter
 from .metrics import nbar
-from .tensor import ENTRY_TOL, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, _as_matrix
+from .tensor import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, _as_matrix, _check_hermitian
 
 logger = logging.getLogger(__name__)
 
@@ -39,10 +39,7 @@ class LindbladSpec:
     def __post_init__(self):
         dims = set()
         if self.h_sys is not None:
-            h = _as_matrix(self.h_sys)
-            if not np.abs(h - h.conj().T).max() <= ENTRY_TOL:  # written so NaN fails too
-                raise NotHermitian("h_sys is not Hermitian to 1e-12")
-            dims.add(h.shape[0])
+            dims.add(_check_hermitian(_as_matrix(self.h_sys), "h_sys").shape[0])
         jumps = []
         for op, rate in self.jumps:
             if not 0 <= rate < math.inf:
@@ -107,8 +104,10 @@ def integrate(spec: LindbladSpec, rho0: np.ndarray, t_final: float,
     The trace is renormalized whenever its drift exceeds 1e-12 (counted and
     logged); drift beyond 1e-6 in a single step raises IntegrationUnstable.
     """
-    if h_step <= 0:
-        raise InvalidParameter("h_step must be positive")
+    if not 0 < h_step < math.inf:
+        raise InvalidParameter(f"h_step must be positive and finite (got {h_step})")
+    if not 0 <= t_final < math.inf:
+        raise InvalidParameter(f"t_final must be finite and nonnegative (got {t_final})")
     gen = liouvillian_matrix(spec)
     d = spec.dim
     rho = _as_matrix(rho0).astype(complex).reshape(-1)

@@ -105,6 +105,15 @@ class QubitRegister:
         return QubitRegister(l for l in self.labels if l in keep)
 
 
+def _check_hermitian(mat: np.ndarray, what: str) -> np.ndarray:
+    """``mat`` itself if finite and Hermitian to 1e-12, else ``NotHermitian``."""
+    if not np.isfinite(mat).all():  # NaN passes the tolerance, and inf - inf warns
+        raise NotHermitian(f"{what} has non-finite (NaN or inf) entries")
+    if np.abs(mat - mat.conj().T).max() > ENTRY_TOL:
+        raise NotHermitian(f"{what} is not Hermitian to 1e-12")
+    return mat
+
+
 def _check_register_matrix(register: QubitRegister, mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.shape != (register.dim, register.dim):
@@ -164,9 +173,7 @@ class HermitianOp:
 
     def __post_init__(self):
         mat = _check_register_matrix(self.register, self.mat)
-        object.__setattr__(self, "mat", mat)
-        if np.abs(mat - mat.conj().T).max() > ENTRY_TOL:
-            raise NotHermitian("operator is not Hermitian to 1e-12")
+        object.__setattr__(self, "mat", _check_hermitian(mat, "operator"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,13 +257,10 @@ def eig_hermitian(h) -> Tuple[np.ndarray, np.ndarray]:
 
     Returns eigenvalues in ascending order and the matrix of eigenvectors
     as columns, so that ``h = V diag(w) V^dagger``. Within degenerate
-    eigenspaces any orthonormal basis may be returned.
+    eigenspaces any orthonormal basis may be returned. ``NotHermitian``
+    unless ``h`` is finite and Hermitian to 1e-12.
     """
-    mat = _as_matrix(h)
-    if np.abs(mat - mat.conj().T).max() > ENTRY_TOL:
-        raise NotHermitian("eig_hermitian requires a Hermitian input")
-    w, v = np.linalg.eigh(mat)
-    return w, v
+    return np.linalg.eigh(_check_hermitian(_as_matrix(h), "eig_hermitian input"))
 
 
 def connected_blocks(pattern: np.ndarray) -> List[np.ndarray]:

@@ -125,8 +125,21 @@ class TestIntegrate:
             integrate(spec, np.full((2, 2), np.nan), t_final=0.1, h_step=0.01)
 
 
-@pytest.mark.parametrize("h_step", [0.0, -0.01])
-def test_nonpositive_step_rejected(h_step):
+@pytest.mark.parametrize("t_final, h_step", [
+    (1.0, 0.0), (1.0, -0.01), (1.0, math.nan), (1.0, math.inf),
+    (math.inf, 0.01), (math.nan, 0.01), (-1.0, 0.01),
+], ids=["h_step-zero", "h_step-negative", "h_step-nan", "h_step-inf",
+        "t_final-inf", "t_final-nan", "t_final-negative"])
+def test_nonpositive_step_rejected(t_final, h_step):
+    # NaN passes a `<= 0` test, and a non-finite span has no step count
     spec = thermal_qubit_spec(omega=1.0, gamma=1.0, beta=2.0)
-    with pytest.raises(InvalidParameter, match="h_step"):
-        integrate(spec, projector(0).astype(complex), 1.0, h_step)
+    name = "t_final" if 0 < h_step < math.inf else "h_step"
+    with pytest.raises(InvalidParameter, match=name):
+        integrate(spec, projector(0).astype(complex), t_final, h_step)
+
+
+def test_zero_time_returns_initial_state():
+    rho0 = projector(0).astype(complex)
+    times, states = integrate(thermal_qubit_spec(1.0, 1.0, 2.0), rho0, 0.0, 0.01)
+    assert times.tolist() == [0.0]
+    assert np.array_equal(states, rho0[None])

@@ -409,8 +409,13 @@ class TestValidation:
      InvalidSubsystem),
     (lambda: eig_hermitian(np.ones((2, 3))), DimensionMismatch),
     (lambda: DensityMatrix(QubitRegister(["A"]), np.eye(4) / 4), DimensionMismatch),
+    # NaN passes the 1e-12 Hermitian comparison; eigh would return it as an eigenvalue
+    (lambda: eig_hermitian(np.diag([np.nan, 1.0])), NotHermitian),
+    (lambda: expm_i_hermitian(np.diag([np.nan, 1.0]), 0.5), NotHermitian),
+    (lambda: eig_hermitian(np.diag([np.inf, 1.0])), NotHermitian),
 ], ids=["finite-non-hermitian-op", "empty-register", "repeated-position-label",
-        "partial-trace-keeps-nothing", "non-square-matrix", "matrix-register-size-mismatch"])
+        "partial-trace-keeps-nothing", "non-square-matrix", "matrix-register-size-mismatch",
+        "eig-hermitian-nan", "expm-nan", "eig-hermitian-inf"])
 def test_input_checks_raise(call, error):
     with pytest.raises(error):
         call()
