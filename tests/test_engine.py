@@ -570,6 +570,27 @@ class TestSteadyState:
             steady_state(StepChannel(QubitRegister(["S"]), superop))
         assert err.value.multiplicity == 2
 
+    @pytest.mark.parametrize("setting", ["I", "II"])
+    @pytest.mark.parametrize("beta", [0.5, 2.0, math.inf])
+    @pytest.mark.parametrize("delta", [0.0, 0.6 * HALF_PI, 0.95 * HALF_PI])
+    def test_mirror_blocks_are_conjugate_with_equal_spectra(self, setting, beta, delta):
+        # S(X^dag) = S(X)^dag: reading vec(|i><j|) as vec(|j><i|) maps S to its
+        # conjugate, so the blocks of S come in mirror pairs of equal moduli
+        from collideq.engine import connected_blocks
+
+        ch = embedded_step_channel(ModelConfig(beta=beta, dt=0.2, delta=delta, setting=setting))
+        superop, d = ch.superop, ch.dim
+        mirror = np.arange(d * d).reshape(d, d).T.reshape(-1)
+        assert np.abs(superop[np.ix_(mirror, mirror)] - superop.conj()).max() <= 1e-15
+        blocks = connected_blocks(superop != 0)
+        by_min = {int(b.min()): np.sort(b) for b in blocks}
+        for block in blocks:
+            image = np.sort(mirror[block])
+            assert np.array_equal(by_min[int(image[0])], image)
+            moduli = np.abs(np.linalg.eigvals(superop[np.ix_(block, block)]))
+            twin = np.abs(np.linalg.eigvals(superop[np.ix_(image, image)]))
+            assert np.abs(np.sort(moduli) - np.sort(twin)).max() <= 1e-12
+
 
 class TestCoreCaches:
     """Cores built from cached pieces equal cores built from nothing."""
