@@ -4,22 +4,28 @@ The measure accumulates positive increments of the trace distance between two
 system states evolved under identical dynamics, maximized over antipodal pure
 initial pairs on a Bloch-sphere grid. Because both branches share the same
 memory initialization, their difference operator evolves linearly under the
-one-step channel, so the whole grid is propagated as one block of vectorized
-difference operators. Trace distances below 1e-14, the propagation noise
-floor, are reported as zero; divisible (delta = 0) dynamics give values at
-that floor: zero, or ~1e-14 where a distance straddles it from step to step.
+one-step channel, so the grid's vectorized difference operators are
+propagated together, one column per pair. The step is exactly
+block-diagonal (the connected blocks of its nonzero pattern), and a trace
+distance reads only the system entries 00 and 01, so only the blocks that
+hold their compound terms are propagated, each by its own product, and
+each entry is the plain sum of its terms. The other blocks never reach the
+readout. Trace distances below 1e-14, the propagation noise floor, are
+reported as zero; divisible (delta = 0) dynamics give values at that floor:
+zero, or ~1e-14 where a distance straddles it from step to step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from .engine import ModelConfig, _step_ops
 from .errors import InvalidParameter
+from .tensor import connected_blocks
 
 _DISTANCE_FLOOR = 1e-14
 _CONVERGENCE_TOL = 1e-6
@@ -37,7 +43,10 @@ class BlpResult:
 
     ``value`` is the accumulated revival sum for the best pair, whose Bloch
     angles are ``argmax_pair``; ``series`` holds that pair's per-step trace
-    distances starting from D_0 = 1. ``pair_values`` and
+    distances starting from D_0 = 1, from a second pass that propagates
+    the best pair alone. That pass rounds apart from the grid pass behind
+    ``value``, so the two agree to about 1e-14, not bit for bit.
+    ``pair_values`` and
     ``max_increment_per_pair`` cover the full grid (theta-major order).
     ``converged`` is False when the final distance still exceeds 1e-6.
     """
@@ -60,20 +69,76 @@ def _bloch_grid(n_theta: int, n_phi: int) -> Tuple[np.ndarray, np.ndarray]:
     return thetas, phis
 
 
-def _pair_difference(theta: float, phi: float) -> np.ndarray:
-    """|psi><psi| - |perp><perp| for the antipodal pure pair at (theta, phi)."""
-    psi = np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)])
-    perp = np.array([math.sin(theta / 2), -np.exp(1j * phi) * math.cos(theta / 2)])
-    return np.outer(psi, psi.conj()) - np.outer(perp, perp.conj())
+def _pair_differences(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """|psi><psi| - |perp><perp| of every antipodal pure pair, theta-major.
+
+    ``psi = (cos(theta/2), e^{i phi} sin(theta/2))`` and ``perp`` its
+    orthogonal partner; the grid is one broadcast, shape ``(pairs, 2, 2)``.
+    """
+    cos = np.array([math.cos(t / 2) for t in thetas])[:, None]
+    sin = np.array([math.sin(t / 2) for t in thetas])[:, None]
+    phase = np.exp(1j * phis)
+    psi = np.stack(np.broadcast_arrays(cos, phase * sin), axis=-1)
+    perp = np.stack(np.broadcast_arrays(sin, -phase * cos), axis=-1)
+    diff = (psi[..., :, None] * psi.conj()[..., None, :]
+            - perp[..., :, None] * perp.conj()[..., None, :])
+    return diff.reshape(-1, 2, 2)
 
 
-def _distances(sys_block: np.ndarray) -> np.ndarray:
-    """Trace distances from vectorized 2x2 traceless Hermitian differences."""
-    a = sys_block[0].real
-    b = sys_block[1]
+def _readout_blocks(core):
+    """The part of the step that the system entries 00 and 01 see.
+
+    Returns ``(rows, steps, terms)``. ``rows`` are the compound indices of
+    the connected blocks of ``superop != 0`` that hold a term of either
+    entry, block after block; ``steps`` pairs each block's slice of
+    ``rows`` with its square of ``superop``; ``terms[e]`` are the positions
+    in ``rows`` of entry ``e``'s terms, in ascending compound order, so
+    summing them adds what the 0/1 readout row adds, in its order.
+    """
+    read = [np.flatnonzero(row) for row in core.system_rows[:2]]
+    blocks = [b for b in connected_blocks(core.superop != 0)
+              if any(np.isin(r, b).any() for r in read)]
+    rows = np.concatenate(blocks)
+    stops = np.cumsum([len(b) for b in blocks])
+    steps = [(slice(int(stop) - len(b), int(stop)), core.superop[np.ix_(b, b)])
+             for b, stop in zip(blocks, stops)]
+    order = rows.tolist()
+    return rows, steps, [[order.index(i) for i in r] for r in read]
+
+
+def _distance_series(steps, terms, cols: np.ndarray, n_steps: int) -> Iterator[np.ndarray]:
+    """Trace distances of the columns after each of ``n_steps`` steps.
+
+    ``cols`` holds the read blocks' entries of vectorized difference
+    operators, one column per pair; each block is stepped by its own product.
+    ``cols`` itself is left as it is.
+    """
+    cur, nxt = cols.copy(), np.empty_like(cols)
+    (first00, *rest00), (first01, *rest01) = terms
+    for _ in range(n_steps):
+        for sl, block in steps:
+            np.matmul(block, cur[sl], out=nxt[sl])
+        cur, nxt = nxt, cur
+        # the 0/1 readout row adds its terms in this order; a complex sum's
+        # real part is the sum of the real parts, bit for bit
+        a = cur[first00].real
+        for i in rest00:
+            a = a + cur[i].real
+        b = cur[first01]
+        for i in rest01:
+            b = b + cur[i]
+        yield _distances(a, b)
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Trace distances of 2x2 traceless Hermitian differences [[a, b], [b*, -a]]."""
     d = np.sqrt(a * a + np.abs(b) ** 2)
     d[d < _DISTANCE_FLOOR] = 0.0
     return d
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def blp_measure(cfg: ModelConfig, n_steps: Optional[int] = None,
@@ -87,31 +152,34 @@ def blp_measure(cfg: ModelConfig, n_steps: Optional[int] = None,
     Parameters
     ----------
     cfg : model parameters; both settings supported.
-    n_steps : horizon; defaults to ceil(20/(gamma dt)) capped at 1e6. The
-        result is flagged unconverged when the final trace distance of the
-        best pair exceeds 1e-6.
-    grid : (n_theta, n_phi) resolution, at least (8, 8).
+    n_steps : horizon, an integer; defaults to ceil(20/(gamma dt)) capped at
+        1e6. The result is flagged unconverged when the final trace distance
+        of the best pair exceeds 1e-6.
+    grid : (n_theta, n_phi) resolution, two integers, at least (8, 8).
     """
+    if not (isinstance(grid, (tuple, list)) and len(grid) == 2 and all(map(_is_integer, grid))):
+        raise InvalidParameter(f"grid must be two integers (n_theta, n_phi), got {grid!r}")
     n_theta, n_phi = grid
     if n_theta < 8 or n_phi < 8:
         raise InvalidParameter("grid must be at least (8, 8)")
     if n_steps is None:
         n_steps = default_n_steps(cfg)
+    if not _is_integer(n_steps):
+        raise InvalidParameter(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 1:
         raise InvalidParameter("n_steps must be at least 1")
 
     core = _step_ops(cfg)
+    rows, steps, terms = _readout_blocks(core)
 
     thetas, phis = _bloch_grid(n_theta, n_phi)
     n_pairs = n_theta * n_phi
-    pairs = np.array([_pair_difference(th, ph) for th in thetas for ph in phis])
-    block0 = core.attach(pairs).reshape(n_pairs, -1).T  # (d^2, n_pairs)
+    cols = core.attach(_pair_differences(thetas, phis)).reshape(n_pairs, -1).T[rows]
 
     values = np.zeros(n_pairs)
     max_inc = np.full(n_pairs, -np.inf)
     d_prev = np.ones(n_pairs)
-    for block in core.propagate(block0, n_steps):
-        d_cur = _distances(core.system_rows @ block)
+    for d_cur in _distance_series(steps, terms, cols, n_steps):
         inc = d_cur - d_prev
         np.maximum(max_inc, inc, out=max_inc)
         values += np.where(inc > 0.0, inc, 0.0)
@@ -121,11 +189,12 @@ def blp_measure(cfg: ModelConfig, n_steps: Optional[int] = None,
     theta_opt = float(thetas[best // n_phi])
     phi_opt = float(phis[best % n_phi])
 
-    # second pass records the optimal pair's distance series from its stored column
+    # second pass: the best pair alone; it rounds apart from its column of
+    # the grid pass, so it matches that pass to ~1e-14, not bit for bit
     series = np.empty(n_steps + 1)
     series[0] = 1.0
-    for n, col in enumerate(core.propagate(block0[:, best], n_steps), 1):
-        series[n] = _distances((core.system_rows @ col).reshape(4, 1))[0]
+    for n, d in enumerate(_distance_series(steps, terms, cols[:, [best]], n_steps), 1):
+        series[n] = d[0]
 
     final_distance = float(d_prev[best])
     return BlpResult(

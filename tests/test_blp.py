@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from collideq.blp import blp_measure, default_n_steps, recompute_value_from_series
-from collideq.engine import ModelConfig
+from collideq.blp import (_bloch_grid, _pair_differences, blp_measure, default_n_steps,
+                          recompute_value_from_series)
+from collideq.engine import ModelConfig, _step_ops
 from collideq.errors import InvalidParameter
 
 HALF_PI = math.pi / 2
@@ -12,6 +13,17 @@ HALF_PI = math.pi / 2
 
 def cfg(setting, beta=2.0, dt=0.01, delta=0.0):
     return ModelConfig(beta=beta, dt=dt, delta=delta, setting=setting)
+
+
+def outer_pairs(thetas, phis):
+    """|psi><psi| - |perp><perp| pair by pair, theta-major, from np.outer."""
+    out = []
+    for th in thetas:
+        for ph in phis:
+            psi = np.array([math.cos(th / 2), np.exp(1j * ph) * math.sin(th / 2)])
+            perp = np.array([math.sin(th / 2), -np.exp(1j * ph) * math.cos(th / 2)])
+            out.append(np.outer(psi, psi.conj()) - np.outer(perp, perp.conj()))
+    return np.array(out)
 
 
 class TestMarkovianLimit:
@@ -97,6 +109,21 @@ class TestGridBehavior:
         with pytest.raises(InvalidParameter):
             blp_measure(cfg("I"), n_steps=10, grid=(4, 4))
 
+    @pytest.mark.parametrize("grid", [(8.5, 8), (8, 8.0), (8, 8, 1), (8,), (True, 8), 8,
+                                      "88"])
+    def test_grid_not_two_integers_rejected(self, grid):
+        with pytest.raises(InvalidParameter, match="grid"):
+            blp_measure(cfg("I"), n_steps=10, grid=grid)
+
+    def test_numpy_integer_grid_accepted(self):
+        res = blp_measure(cfg("I"), n_steps=5, grid=(np.int64(8), 8))
+        assert res.pair_values.shape == (64,)
+
+    @pytest.mark.parametrize("grid", [(8, 8), (17, 8), (32, 16)])
+    def test_broadcast_grid_matches_outer_products(self, grid):
+        thetas, phis = _bloch_grid(*grid)
+        assert np.array_equal(_pair_differences(thetas, phis), outer_pairs(thetas, phis))
+
 
 def test_default_horizon():
     assert default_n_steps(ModelConfig(beta=2.0, dt=0.01)) == 2000
@@ -117,3 +144,64 @@ def test_default_horizon_sets_series_length(setting):
 def test_zero_steps_rejected(setting):
     with pytest.raises(InvalidParameter, match="n_steps"):
         blp_measure(cfg(setting), n_steps=0)
+
+
+@pytest.mark.parametrize("n_steps", [2.5, 10.0, float("nan"), True, "10"])
+def test_non_integer_steps_rejected(n_steps):
+    with pytest.raises(InvalidParameter, match="n_steps"):
+        blp_measure(cfg("I"), n_steps=n_steps, grid=(8, 8))
+
+
+def test_numpy_integer_steps_accepted():
+    res = blp_measure(cfg("I"), n_steps=np.int64(7), grid=(8, 8))
+    assert len(res.series) == 8
+
+
+def full_path(c, n_steps, grid):
+    """Pair values and largest increments from the whole step on the whole
+    vectorized compound, read by the system rows (the reference path)."""
+    core = _step_ops(c)
+    thetas, phis = _bloch_grid(*grid)
+    pairs = outer_pairs(thetas, phis)
+    block = core.attach(pairs).reshape(len(pairs), -1).T
+    values = np.zeros(len(pairs))
+    max_inc = np.full(len(pairs), -np.inf)
+    d_prev = np.ones(len(pairs))
+    for block in core.propagate(block, n_steps):
+        sys_block = core.system_rows @ block
+        d = np.sqrt(sys_block[0].real ** 2 + np.abs(sys_block[1]) ** 2)
+        d[d < 1e-14] = 0.0
+        inc = d - d_prev
+        max_inc = np.maximum(max_inc, inc)
+        values += np.where(inc > 0.0, inc, 0.0)
+        d_prev = d
+    best = int(np.argmax(values))
+    return values, max_inc, (thetas[best // len(phis)], phis[best % len(phis)])
+
+
+@pytest.mark.parametrize("setting, beta, dt, frac, grid", [
+    ("I", 2.0, 0.01, 0.95, (16, 8)),
+    ("I", 0.5, 0.1, 0.8, (17, 8)),
+    ("I", 2.0, 0.3, 0.0, (8, 8)),
+    ("II", 2.0, 0.1, 0.95, (16, 8)),
+    ("II", 0.5, 0.01, 0.3, (8, 8)),
+    ("II", math.inf, 0.3, 0.8, (17, 8)),
+])
+def test_readout_blocks_match_the_full_step(setting, beta, dt, frac, grid):
+    c = cfg(setting, beta=beta, dt=dt, delta=frac * HALF_PI)
+    n_steps = min(default_n_steps(c), 600)
+    res = blp_measure(c, n_steps=n_steps, grid=grid)
+    values, max_inc, _ = full_path(c, n_steps, grid)
+    np.testing.assert_allclose(res.pair_values, values, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(res.max_increment_per_pair, max_inc, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("setting, beta, dt", [("I", 0.5, 0.1), ("II", math.inf, 0.3)])
+def test_readout_blocks_pick_the_full_step_best_pair_off_the_poles(setting, beta, dt):
+    # the values tie within rounding along phi and under theta -> pi - theta,
+    # so an equal argmax says that both paths round alike at the best pair
+    c = cfg(setting, beta=beta, dt=dt, delta=0.8 * HALF_PI)
+    res = blp_measure(c, grid=(16, 8))
+    _, _, argmax = full_path(c, default_n_steps(c), (16, 8))
+    assert 0.0 < res.argmax_pair[0] < math.pi
+    assert res.argmax_pair == argmax
