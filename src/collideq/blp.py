@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from .engine import ModelConfig, _step_ops
-from .errors import InvalidParameter
+from .errors import InvalidParameter, _check_count, _is_integer
 from .tensor import connected_blocks
 
 _DISTANCE_FLOOR = 1e-14
@@ -137,10 +137,6 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d
 
 
-def _is_integer(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def blp_measure(cfg: ModelConfig, n_steps: Optional[int] = None,
                 grid: Tuple[int, int] = (32, 16)) -> BlpResult:
     """Maximize the revival sum over a Bloch grid of antipodal pure pairs.
@@ -164,10 +160,7 @@ def blp_measure(cfg: ModelConfig, n_steps: Optional[int] = None,
         raise InvalidParameter("grid must be at least (8, 8)")
     if n_steps is None:
         n_steps = default_n_steps(cfg)
-    if not _is_integer(n_steps):
-        raise InvalidParameter(f"n_steps must be an integer, got {n_steps!r}")
-    if n_steps < 1:
-        raise InvalidParameter("n_steps must be at least 1")
+    _check_count("n_steps", n_steps)
 
     core = _step_ops(cfg)
     rows, steps, terms = _readout_blocks(core)

@@ -29,8 +29,10 @@ from .errors import (
     InvalidParameter,
     NonUniqueSteadyState,
     NumericalPositivityError,
+    _check_count,
+    _is_integer,
 )
-from .metrics import ThermalParams, _effective_betas, _fidelities, gibbs_qubit
+from .metrics import _effective_betas, _fidelities, gibbs_qubit, nbar
 from .tensor import (
     EXCITED,
     GROUND,
@@ -47,7 +49,7 @@ from .tensor import (
     connected_blocks,
     embed,
     expm_i_hermitian,
-    kron_all,
+    kron,
     projector,
 )
 
@@ -91,27 +93,23 @@ class ModelConfig:
             raise InvalidParameter(f"beta must be positive (got {self.beta})")
 
     @property
-    def thermal(self) -> ThermalParams:
-        return ThermalParams.from_bath(self.beta, self.omega)
-
-    @property
     def n_baths(self) -> int:
         return 1 if self.setting == SETTING_I else 2
 
     @property
     def coupling_j(self) -> float:
         """Setting I exchange coupling sqrt(gamma (2 nbar + 1)/dt)."""
-        return math.sqrt(self.gamma * (2.0 * self.thermal.nbar + 1.0) / self.dt)
+        return math.sqrt(self.gamma * (2.0 * nbar(self.beta, self.omega) + 1.0) / self.dt)
 
     @property
     def coupling_j0(self) -> float:
         """Setting II coupling to the ground-state bath."""
-        return math.sqrt(self.gamma * (self.thermal.nbar + 1.0) / self.dt)
+        return math.sqrt(self.gamma * (nbar(self.beta, self.omega) + 1.0) / self.dt)
 
     @property
     def coupling_j1(self) -> float:
         """Setting II coupling to the excited-state bath."""
-        return math.sqrt(self.gamma * self.thermal.nbar / self.dt)
+        return math.sqrt(self.gamma * nbar(self.beta, self.omega) / self.dt)
 
     def bath_state(self, bath: int) -> np.ndarray:
         """Fresh ancilla state of the given bath (single-qubit matrix)."""
@@ -218,9 +216,9 @@ def _bath_pieces(setting: str, beta: float, omega: float, delta: float):
     kraus = intra.reshape(2, 2, 2, 2).transpose(3, 0, 1, 2)
     # np.kron joins all four axes (birth, outcome, F_out, M_in) bath by
     # bath, bath 0 most significant; kron(1_S, .) lifts them to the compound
-    memories = np.kron(np.eye(2), kron_all(*[kraus] * cfg.n_baths))
+    memories = np.kron(np.eye(2), kron(*[kraus] * cfg.n_baths))
     pops = np.array([b.diagonal().real for b in baths])
-    return _read_only(kron_all(*baths), memories, pops)
+    return _read_only(kron(*baths), memories, pops)
 
 
 @functools.lru_cache(maxsize=4)
@@ -354,6 +352,13 @@ def _step_ops(cfg: ModelConfig) -> _StepOps:
     return ops
 
 
+def _system_matrix(rho_s: DensityMatrix) -> np.ndarray:
+    """The matrix of a system state, ``DimensionMismatch`` unless on a single qubit."""
+    if rho_s.register.n_qubits != 1:
+        raise DimensionMismatch(f"system state on {rho_s.register.labels}, not a single qubit")
+    return rho_s.mat
+
+
 def _bare_step_ops(cfg: ModelConfig) -> _StepOps:
     if cfg.delta != 0.0:
         raise InvalidParameter("the bare-system step requires delta = 0")
@@ -394,7 +399,7 @@ def markovian_step(cfg: ModelConfig, rho_s: DensityMatrix) -> Tuple[DensityMatri
     system beforehand and the compound's memory traced out afterwards.
     """
     ops = _bare_step_ops(cfg)
-    rho_c, q_sa, _, _ = ops.step_with_heat(ops.attach(rho_s.mat))
+    rho_c, q_sa, _, _ = ops.step_with_heat(ops.attach(_system_matrix(rho_s)))
     reduced = (ops.system_rows @ rho_c.reshape(-1)).reshape(2, 2)
     records = tuple(HeatRecord(bath=b, q_sa=float(q_sa[b])) for b in range(cfg.n_baths))
     return DensityMatrix(rho_s.register, reduced), records
@@ -560,13 +565,13 @@ def evolve(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int) -> EvolutionRe
     all steps are checked as density matrices (``NotHermitian`` or
     ``ValueError`` on the first that fails) and read out as one stack.
     """
-    if n_steps < 1:
-        raise InvalidParameter("n_steps must be at least 1")
+    _check_count("n_steps", n_steps)
+    rho0 = _system_matrix(rho0_s)
     ops = _step_ops(cfg)
     target = gibbs_qubit(cfg.beta, cfg.omega)
 
     # readouts of the compound before every step and after the last one
-    v = ops.attach(rho0_s.mat).reshape(-1)
+    v = ops.attach(rho0).reshape(-1)
     reads = np.empty((n_steps + 1, ops.readout.shape[0]), dtype=complex)
     reads[0] = ops.readout @ v
     for n, v in enumerate(ops.propagate(v, n_steps), 1):
@@ -602,7 +607,7 @@ def steady_heat_flux(cfg: ModelConfig, bath: int = 0) -> float:
 def steady_heat_flux_from_state(cfg: ModelConfig, rho_star: DensityMatrix,
                                 bath: int = 0) -> float:
     """Heat flux into ``bath`` given a precomputed compound steady state."""
-    if not (0 <= bath < cfg.n_baths):
+    if not (_is_integer(bath) and 0 <= bath < cfg.n_baths):
         raise InvalidParameter(f"bath must index one of {cfg.n_baths} baths")
     ops = _step_ops(cfg)
     if rho_star.register != ops.compound_register:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer-count check."""
+
+import numbers
 
 
 class CollideqError(Exception):
@@ -23,6 +25,19 @@ class NotDiagonal(CollideqError):
 
 class InvalidParameter(CollideqError):
     """A physical parameter is outside its admissible range."""
+
+
+def _is_integer(x) -> bool:
+    """An integer of any kind (``np.int64`` too), but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_count(name: str, value) -> None:
+    """``InvalidParameter`` unless ``value`` is an integer of at least 1."""
+    if not _is_integer(value):
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise InvalidParameter(f"{name} must be at least 1")
 
 
 class NonUniqueSteadyState(CollideqError):

@@ -42,26 +42,7 @@ def nbar(beta: float, omega: float) -> float:
         return math.exp(-beta * omega)
 
 
-@dataclass(frozen=True)
-class ThermalParams:
-    """Derived thermal quantities for a qubit coupled to a bath.
-
-    ``g`` is the equilibrium population asymmetry, equal to both
-    ``1/(2*nbar + 1)`` and ``tanh(beta*omega/2)``.
-    """
-
-    beta: float
-    omega: float
-    nbar: float
-    g: float
-
-    @classmethod
-    def from_bath(cls, beta: float, omega: float) -> "ThermalParams":
-        nb = nbar(beta, omega)
-        return cls(beta=beta, omega=omega, nbar=nb, g=1.0 / (2.0 * nb + 1.0))
-
-
-def gibbs_qubit(beta: float, omega: float, label: str = "S") -> DensityMatrix:
+def gibbs_qubit(beta: float, omega: float) -> DensityMatrix:
     """Thermal qubit state diag((1-g)/2, (1+g)/2) in (excited, ground) order.
 
     Populations are evaluated as nbar/(2 nbar + 1) and (nbar+1)/(2 nbar + 1)
@@ -70,8 +51,7 @@ def gibbs_qubit(beta: float, omega: float, label: str = "S") -> DensityMatrix:
     """
     nb = nbar(beta, omega)
     p_exc = nb / (2.0 * nb + 1.0)
-    reg = QubitRegister([label])
-    return DensityMatrix(reg, np.diag([p_exc, 1.0 - p_exc]).astype(complex))
+    return DensityMatrix(QubitRegister(["S"]), np.diag([p_exc, 1.0 - p_exc]).astype(complex))
 
 
 def _same_register(rho: DensityMatrix, sigma: DensityMatrix):
@@ -122,9 +102,6 @@ class EffectiveTemperature:
     beta_e: float
     omega: float
     valid: bool
-
-    def delta_beta(self, beta: float) -> float:
-        return self.beta_e - beta
 
 
 def _effective_betas(mats: np.ndarray, omega: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ STRUCT_TOL = 1e-10     # structural invariants (unitarity, trace, positivity)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 # Lowering takes excited (index 0) to ground (index 1).
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -43,13 +42,6 @@ SWAP_2 = np.array(
 
 EXCITED = 0
 GROUND = 1
-
-
-def ket(index: int) -> np.ndarray:
-    """Single-qubit basis vector (0 = excited, 1 = ground)."""
-    v = np.zeros(2, dtype=complex)
-    v[index] = 1.0
-    return v
 
 
 def projector(index: int) -> np.ndarray:
@@ -97,12 +89,6 @@ class QubitRegister:
         except ValueError:
             unknown = [l for l in labels if l not in self.labels]
             raise InvalidSubsystem(f"labels {unknown} not in register {self.labels}") from None
-
-    def subregister(self, labels: Iterable[str]) -> "QubitRegister":
-        """Sub-register of ``labels`` kept in this register's order."""
-        keep = set(labels)
-        self.positions(keep)
-        return QubitRegister(l for l in self.labels if l in keep)
 
 
 def _check_hermitian(mat: np.ndarray, what: str) -> np.ndarray:
@@ -191,13 +177,8 @@ class UnitaryOp:
             raise ValueError(f"operator fails unitarity by {dev:.2e} (> 1e-10)")
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with row-major block convention."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def kron_all(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of several factors, left to right."""
+def kron(*ops: np.ndarray) -> np.ndarray:
+    """Complex Kronecker product of one or more factors, left to right."""
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
         out = np.kron(out, op)
@@ -224,14 +205,9 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     if not keep:
         raise InvalidSubsystem("keep must name at least one subsystem")
     positions = rho.register.positions(keep)
-    sub = rho.register.subregister(keep)
+    sub = QubitRegister(l for l in rho.register.labels if l in keep)
     red = _ptrace_raw(rho.mat, rho.register.n_qubits, positions)
     return DensityMatrix(sub, red)
-
-
-def trace_all(rho: Union[DensityMatrix, np.ndarray]) -> complex:
-    """Full trace (partial trace over every label)."""
-    return complex(np.trace(_as_matrix(rho)))
 
 
 def _ptranspose_raw(mat: np.ndarray, n_qubits: int, part: Sequence[int]) -> np.ndarray:
@@ -305,8 +281,7 @@ def expm_i_hermitian(h, t: float):
     ``eigh`` may mix degenerate eigenvectors across blocks, which leaves
     rounding noise where the exponential is exactly 0.)
 
-    Accepts a :class:`HermitianOp` (returns a :class:`UnitaryOp` on the same
-    register) or a raw matrix (returns a raw matrix).
+    ``h`` is a :class:`HermitianOp` or a raw matrix; the result is a matrix.
     """
     mat = _as_matrix(h)
     u = np.zeros(mat.shape, dtype=complex)
@@ -316,8 +291,6 @@ def expm_i_hermitian(h, t: float):
         sub = np.ix_(block, block)
         w, v = eig_hermitian(mat[sub])
         u[sub] = (v * np.exp(-1j * w * t)) @ v.conj().T
-    if hasattr(h, "register"):
-        return UnitaryOp(h.register, u)
     return u
 
 

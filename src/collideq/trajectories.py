@@ -39,8 +39,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .engine import ModelConfig, _step_ops
-from .errors import InvalidParameter, NumericalPositivityError
+from .engine import ModelConfig, _step_ops, _system_matrix
+from .errors import InvalidParameter, NumericalPositivityError, _check_count, _is_integer
 from .tensor import EXCITED, GROUND, DensityMatrix, QubitRegister
 
 _CHUNK = 8192
@@ -173,11 +173,10 @@ def _run_batch(cfg: ModelConfig, rho0_s: np.ndarray, n_steps: int, seeds) -> Tup
 def run_trajectory(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int,
                    seed: int) -> TrajectoryRecord:
     """Single seeded trajectory; bit-identical to the same ensemble member."""
-    if n_steps < 1:
-        raise InvalidParameter("n_steps must be at least 1")
-    if not 0 <= seed < 1 << 128:
-        raise InvalidParameter(f"seed must lie in [0, 2**128) (got {seed})")
-    outcomes, heats, finals = _run_batch(cfg, rho0_s.mat, n_steps, [seed])
+    _check_count("n_steps", n_steps)
+    if not (_is_integer(seed) and 0 <= seed < 1 << 128):
+        raise InvalidParameter(f"seed must be an integer in [0, 2**128) (got {seed!r})")
+    outcomes, heats, finals = _run_batch(cfg, _system_matrix(rho0_s), n_steps, [seed])
     final = DensityMatrix(QubitRegister(["S"]), finals[0])
     return TrajectoryRecord(seed=int(seed), outcomes=outcomes[0], heats=heats[0],
                             final_system_state=final)
@@ -192,10 +191,11 @@ def ensemble_mean_heat(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int,
     associative over fixed-size chunks, keeping output independent of how
     the work is sliced.
     """
-    if n_steps < 1:
-        raise InvalidParameter("n_steps must be at least 1")
-    if n_trajectories < 1:
-        raise InvalidParameter("n_trajectories must be at least 1")
+    _check_count("n_steps", n_steps)
+    _check_count("n_trajectories", n_trajectories)
+    if not (_is_integer(master_seed) and master_seed >= 0):
+        raise InvalidParameter(f"master_seed must be a non-negative integer (got {master_seed!r})")
+    rho0 = _system_matrix(rho0_s)
     nb = cfg.n_baths
     sum_h = np.zeros((n_steps, nb))
     sum_h2 = np.zeros((n_steps, nb))
@@ -206,7 +206,7 @@ def ensemble_mean_heat(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int,
     for start in range(0, m, _CHUNK):
         stop = min(start + _CHUNK, m)
         seeds = [trajectory_seed(master_seed, k) for k in range(start, stop)]
-        _, heats, finals = _run_batch(cfg, rho0_s.mat, n_steps, seeds)
+        _, heats, finals = _run_batch(cfg, rho0, n_steps, seeds)
         sum_h += heats.sum(axis=0)
         sum_h2 += (heats * heats).sum(axis=0)
         sum_fin += finals.sum(axis=0)

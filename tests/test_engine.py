@@ -38,7 +38,6 @@ from collideq.tensor import (
     embed,
     expm_i_hermitian,
     kron,
-    kron_all,
     partial_trace,
     projector,
 )
@@ -137,7 +136,7 @@ class TestUnitaries:
         # differ by the sign of the SWAP term plus a global phase)
         reg = QubitRegister(["S", "A"])
         j, dt = 3.7, 0.21
-        u_exp = expm_i_hermitian(heisenberg_interaction(j, ("S", "A"), reg), dt).mat
+        u_exp = expm_i_hermitian(heisenberg_interaction(j, ("S", "A"), reg), dt)
         u_ps = partial_swap(j * dt, ("S", "A"), reg).mat
         phase = np.exp(-1j * j * dt / 2)
         assert np.abs(u_exp - phase * u_ps.conj()).max() < 1e-10
@@ -149,7 +148,7 @@ class TestUnitaries:
         reg = QubitRegister(["S", "A"])
         eta = gibbs_qubit(2.0, 1.0).mat
         u1 = partial_swap(c.coupling_j * c.dt, ("S", "A"), reg).mat
-        u2 = expm_i_hermitian(heisenberg_interaction(c.coupling_j, ("S", "A"), reg), c.dt).mat
+        u2 = expm_i_hermitian(heisenberg_interaction(c.coupling_j, ("S", "A"), reg), c.dt)
         rho = np.array([[0.3, 0.1 + 0.05j], [0.1 - 0.05j, 0.7]])
         out1 = np.einsum("ikjk->ij", (u1 @ np.kron(rho, eta) @ u1.conj().T).reshape(2, 2, 2, 2))
         out2 = np.einsum("ikjk->ij", (u2 @ np.kron(rho, eta) @ u2.conj().T).reshape(2, 2, 2, 2))
@@ -171,9 +170,7 @@ class TestUnitaries:
         reg = QubitRegister(["S", "A0", "A1"])
         u = setting2_unitary(c, reg, "S", "A0", "A1").mat
         ci = cfg_i(beta=math.inf, dt=0.02)
-        u_i = expm_i_hermitian(
-            heisenberg_interaction(ci.coupling_j, ("S", "A0"), reg), c.dt
-        ).mat
+        u_i = expm_i_hermitian(heisenberg_interaction(ci.coupling_j, ("S", "A0"), reg), c.dt)
         assert np.abs(u - u_i).max() < 1e-10
 
     def test_setting2_unitary_small_dt_identity(self):
@@ -273,7 +270,7 @@ class TestMarkovianStep:
                 u = partial_swap(cfg.coupling_j * cfg.dt, ("S", "A0"), reg).mat
             else:
                 u = setting2_unitary(cfg, reg, "S", "A0", "A1").mat
-            fresh = kron_all(*(cfg.bath_state(b) for b in range(cfg.n_baths)))
+            fresh = kron(*(cfg.bath_state(b) for b in range(cfg.n_baths)))
             rho = sys_dm(np.array([[0.35, 0.2 - 0.1j], [0.2 + 0.1j, 0.65]]))
             for _ in range(5):
                 before = np.kron(rho.mat, fresh)
@@ -324,7 +321,7 @@ class TestEmbeddedChannel:
         step = np.kron(u, np.eye(2 ** cfg.n_baths))
         for m, f in zip(mem, fresh):
             step = intra_bath_unitary(cfg.delta, (m, f), ext).mat @ step
-        tau = kron_all(*(cfg.bath_state(b) for b in range(cfg.n_baths)))
+        tau = kron(*(cfg.bath_state(b) for b in range(cfg.n_baths)))
         keep = ext.positions(["S"] + fresh)
         d = compound.dim
         columns = _StepOps(cfg).superop.T.reshape(d * d, d, d)
@@ -409,7 +406,7 @@ class TestEmbeddedChannel:
             rho_s = sys_dm(np.diag([1.0, 0.0]))
             mem = np.diag([0.0, 1.0]) if cfg.setting == "II" else gibbs_qubit(2.0, 1.0).mat
             if cfg.setting == "II":
-                compound = kron_all(rho_s.mat, np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+                compound = kron(rho_s.mat, np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
             else:
                 compound = np.kron(rho_s.mat, mem)
             rho_direct = rho_s
@@ -703,7 +700,7 @@ class TestEvolve:
             ops = _StepOps(cfg)
             nb = cfg.n_baths
             rho_c = np.kron(np.diag([0.7, 0.3]).astype(complex),
-                            kron_all(*(cfg.bath_state(b) for b in range(nb))))
+                            kron(*(cfg.bath_state(b) for b in range(nb))))
             reg = ops.compound_register
 
             def qubit_energy(mat, label):
@@ -741,7 +738,7 @@ class TestEvolve:
             v = np.eye(reg.dim)
             for m, f in zip(mem, fresh):
                 v = v @ intra_bath_unitary(cfg.delta, (m, f), reg).mat
-            tau = kron_all(*(cfg.bath_state(b) for b in range(nb)))
+            tau = kron(*(cfg.bath_state(b) for b in range(nb)))
             e_born = [0.5 * cfg.omega * (cfg.bath_state(b)[0, 0] - cfg.bath_state(b)[1, 1]).real
                       for b in range(nb)]
 
@@ -902,18 +899,43 @@ class TestSteadyHeatFlux:
         assert abs(f0 + f1) < 1e-12
 
 
+def _flux_state(bath):
+    cfg = cfg_ii(dt=0.1)
+    return steady_heat_flux_from_state(cfg, steady_state(embedded_step_channel(cfg)), bath=bath)
+
+
+# a two-qubit system state, which no collision of the compound can take
+_PAIR_DM = DensityMatrix(QubitRegister(["S", "X"]), np.eye(4, dtype=complex) / 4)
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda: evolve(cfg_i(), sys_dm(projector(0)), 0), InvalidParameter, "n_steps"),
-    (lambda: steady_heat_flux_from_state(
-        cfg_ii(dt=0.1), steady_state(embedded_step_channel(cfg_ii(dt=0.1))), bath=2),
-     InvalidParameter, "bath"),
+    (lambda: evolve(cfg_i(), sys_dm(projector(0)), 2.5), InvalidParameter, "n_steps"),
+    (lambda: evolve(cfg_i(), sys_dm(projector(0)), True), InvalidParameter, "n_steps"),
+    (lambda: _flux_state(2), InvalidParameter, "bath"),
+    (lambda: _flux_state(True), InvalidParameter, "bath"),
+    (lambda: _flux_state(0.5), InvalidParameter, "bath"),
+    (lambda: steady_heat_flux(cfg_ii(dt=0.1), bath=True), InvalidParameter, "bath"),
+    (lambda: steady_heat_flux(cfg_ii(dt=0.1), bath=0.5), InvalidParameter, "bath"),
     (lambda: cfg_i().bath_state(1), InvalidParameter, "single bath"),
     (lambda: cfg_ii().bath_state(2), InvalidParameter, "baths 0 and 1"),
     # a system state has the wrong size for the compound's readout rows
     (lambda: steady_heat_flux_from_state(cfg_ii(dt=0.1), gibbs_qubit(2.0, 1.0)),
      DimensionMismatch, "compound"),
-], ids=["evolve-zero-steps", "heat-flux-third-bath", "setting1-bath-1", "setting2-bath-2",
-        "heat-flux-system-state"])
+    (lambda: evolve(cfg_i(), _PAIR_DM, 3), DimensionMismatch, r"\('S', 'X'\)"),
+    (lambda: markovian_step(cfg_ii(), _PAIR_DM), DimensionMismatch, r"\('S', 'X'\)"),
+], ids=["evolve-zero-steps", "evolve-fractional-steps", "evolve-bool-steps",
+        "heat-flux-third-bath", "heat-flux-bool-bath", "heat-flux-fractional-bath",
+        "steady-flux-bool-bath", "steady-flux-fractional-bath", "setting1-bath-1",
+        "setting2-bath-2", "heat-flux-system-state", "evolve-two-qubit-state",
+        "markovian-step-two-qubit-state"])
 def test_input_checks_raise(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_numpy_integer_counts_accepted():
+    rho0 = sys_dm(projector(0))
+    a, b = evolve(cfg_i(), rho0, np.int64(3)), evolve(cfg_i(), rho0, 3)
+    assert np.array_equal(a.states, b.states)
+    assert _flux_state(np.int64(1)) == _flux_state(1)

@@ -12,14 +12,14 @@ from collideq.engine import (
     partial_swap,
     setting2_unitary,
 )
-from collideq.errors import InvalidParameter, NumericalPositivityError
+from collideq.errors import DimensionMismatch, InvalidParameter, NumericalPositivityError
 from collideq.tensor import (
     EXCITED,
     GROUND,
     DensityMatrix,
     QubitRegister,
     embed,
-    kron_all,
+    kron,
     partial_trace,
     projector,
 )
@@ -120,9 +120,10 @@ class TestSingleTrajectory:
         with pytest.raises(InvalidParameter):
             run_trajectory(cfg_ii(), GROUND_DM, 0, seed=1)
 
-    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    # a Philox key is an integer in [0, 2**128); no float or bool is one
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, np.float64(7.9), True])
     def test_rejects_seed_outside_philox_key(self, seed):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="seed"):
             run_trajectory(cfg_ii(), GROUND_DM, 5, seed=seed)
 
 
@@ -237,7 +238,7 @@ def explicit_window_outcomes(cfg, rho0, n_steps, seeds):
         births = [draw(table[0, k, 0], p_exc[k]) for k in range(nb)]
         mems = [f"M{k}@0" for k in range(nb)]
         rho = DensityMatrix(QubitRegister(["S", *mems]),
-                            kron_all(rho0.mat, *(projector(x) for x in births)))
+                            kron(rho0.mat, *(projector(x) for x in births)))
         for n in range(n_steps):
             reg = rho.register
             if cfg.setting == "I":
@@ -349,7 +350,7 @@ def sequential_joint_block(cfg, births, outs):
         ext = QubitRegister(["S", *mems, "F"])
         attach = np.kron(np.eye(reg.dim), ket(births[k]))
         collide = intra_bath_unitary(cfg.delta, (mem, "F"), ext).mat
-        measure = kron_all(*(ket(outs[k]).conj().T if label == mem else np.eye(2)
+        measure = kron(*(ket(outs[k]).conj().T if label == mem else np.eye(2)
                              for label in ext.labels))
         # qubits left as (S, other memories, F); F takes memory k's slot
         left = ["S", *(m for m in mems if m != mem), "F"]
@@ -404,3 +405,41 @@ def test_trajectory_independent_of_batch_size_and_offset(cfg, rho0):
     for (_, offset), (out, _, fin) in zip(BATCHES[1:], runs[1:]):
         assert np.array_equal(out[offset], outcomes[0])
         assert np.array_equal(fin[offset], finals[0])
+
+
+# a two-qubit system state, which no collision of the compound can take
+_PAIR_DM = DensityMatrix(QubitRegister(["S", "X"]), np.eye(4, dtype=complex) / 4)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: run_trajectory(cfg_ii(), GROUND_DM, 2.5, seed=1), InvalidParameter, "n_steps"),
+    (lambda: run_trajectory(cfg_ii(), GROUND_DM, True, seed=1), InvalidParameter, "n_steps"),
+    (lambda: run_trajectory(cfg_ii(), _PAIR_DM, 5, seed=1), DimensionMismatch,
+     r"\('S', 'X'\)"),
+    (lambda: ensemble_mean_heat(cfg_ii(), GROUND_DM, 5, 4, master_seed=1.5),
+     InvalidParameter, "master_seed"),
+    (lambda: ensemble_mean_heat(cfg_ii(), GROUND_DM, 5, 4, master_seed=-1),
+     InvalidParameter, "master_seed"),
+    (lambda: ensemble_mean_heat(cfg_ii(), GROUND_DM, 5, 4, master_seed=True),
+     InvalidParameter, "master_seed"),
+    (lambda: ensemble_mean_heat(cfg_ii(), GROUND_DM, 5, 2.5, master_seed=1),
+     InvalidParameter, "n_trajectories"),
+    (lambda: ensemble_mean_heat(cfg_ii(), GROUND_DM, 2.5, 4, master_seed=1),
+     InvalidParameter, "n_steps"),
+    (lambda: ensemble_mean_heat(cfg_ii(), _PAIR_DM, 5, 4, master_seed=1), DimensionMismatch,
+     r"\('S', 'X'\)"),
+], ids=["steps-fractional", "steps-bool",
+        "trajectory-two-qubit-state", "master-seed-fractional", "master-seed-negative",
+        "master-seed-bool", "trajectories-fractional", "ensemble-steps-fractional",
+        "ensemble-two-qubit-state"])
+def test_input_checks_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_numpy_integer_seed_and_counts_accepted():
+    a = run_trajectory(cfg_ii(), GROUND_DM, np.int64(20), seed=np.uint64(9))
+    b = run_trajectory(cfg_ii(), GROUND_DM, 20, seed=9)
+    assert a.seed == 9 and np.array_equal(a.outcomes, b.outcomes)
+    s = ensemble_mean_heat(cfg_ii(), GROUND_DM, 5, np.int64(3), master_seed=np.int64(2))
+    assert np.array_equal(s.mean_heat, ensemble_mean_heat(cfg_ii(), GROUND_DM, 5, 3, 2).mean_heat)
