@@ -3,8 +3,11 @@
 Every command writes a self-describing CSV: a leading comment block of
 ``# key=value`` lines echoing the fully resolved configuration, a header
 row, then data rows ordered by grid iteration. Output is byte-identical
-across runs for a fixed command line and seed. The exit code is 0 only if
-every row carries status ``ok``.
+across runs for a fixed command line and seed. A cell that one of the
+numerical errors in ``_FAILED`` fails writes one row: its own columns, nan
+in every other and the error's status. Any other error (a bad input) exits 2
+before any CSV is written. The exit code is 0 only if every row carries
+status ``ok``.
 """
 
 from __future__ import annotations
@@ -27,13 +30,8 @@ from .engine import (
     steady_heat_flux_from_state,
     steady_state,
 )
-from .errors import (
-    CollideqError,
-    FixedPointError,
-    InvalidParameter,
-    NonUniqueSteadyState,
-    NumericalPositivityError,
-)
+from .errors import (CollideqError, FixedPointError, InvalidParameter, NonUniqueSteadyState,
+                     NotHermitian, NumericalPositivityError)
 from .metrics import (
     effective_temperature,
     negativity_2,
@@ -131,6 +129,18 @@ class _Cell(NamedTuple):
     delta: float
     r: Optional[float] = None
 
+    def fields(self) -> Dict[str, object]:
+        """The cell's own CSV columns; limit-scan's delta is 1 - dt/r, beside delta_rad."""
+        out = self._asdict()
+        if self.r is not None:
+            out.update(delta=1.0 - self.dt / self.r, delta_rad=self.delta)
+        return out
+
+
+# status of a cell failed by a numerical error of each class; {fields} are its attributes
+_FAILED = {NonUniqueSteadyState: "nonunique:{multiplicity}", FixedPointError: "fixed-point-failed",
+           NumericalPositivityError: "nonpositive", NotHermitian: "not-hermitian"}
+
 
 def _config(res: Resolved, cell: _Cell) -> ModelConfig:
     return ModelConfig(beta=cell.beta, dt=cell.dt, delta=cell.delta, omega=res.omega,
@@ -140,84 +150,60 @@ def _config(res: Resolved, cell: _Cell) -> ModelConfig:
 _NEGATIVITY_COLUMNS = ("n3", "n2_s_m0", "n2_s_m1", "n2_m0_m1")
 
 
-def _steady_cell(cfg: ModelConfig, negativities: bool) -> Dict[str, object]:
-    """Observables of one steady-state grid cell, keyed by CSV column."""
-    nan = math.nan
-    cell = dict.fromkeys(["g_e", "beta_e", "delta_beta", "heat_flux",
-                          *_NEGATIVITY_COLUMNS], nan)
-    try:
-        rho_star = steady_state(embedded_step_channel(cfg))
-    except NonUniqueSteadyState as err:
-        cell["status"] = f"nonunique:{err.multiplicity}"
-        return cell
-    except NumericalPositivityError:
-        cell["status"] = "nonpositive"
-        return cell
-    except FixedPointError:
-        cell["status"] = "fixed-point-failed"
-        return cell
+def _steady_rows(res: Resolved, cell: _Cell) -> List[Dict]:
+    if cell.r is not None and not 0.0 <= cell.delta < HALF_PI:
+        return [{"status": "delta-out-of-range"}]
+    cfg = _config(res, cell)
+    rho_star = steady_state(embedded_step_channel(cfg))
     est = effective_temperature(partial_trace(rho_star, ["S"]), cfg.omega)
-    cell.update(g_e=est.g_e, beta_e=est.beta_e, delta_beta=est.beta_e - cfg.beta,
-                heat_flux=steady_heat_flux_from_state(cfg, rho_star, bath=0), status="ok")
-    if negativities and cfg.setting == "I":
-        cell["n2_s_m0"] = negativity_2(rho_star)
-    elif negativities:
+    out = {"g_e": est.g_e, "beta_e": est.beta_e, "delta_beta": est.beta_e - cfg.beta,
+           "heat_flux": steady_heat_flux_from_state(cfg, rho_star, bath=0)}
+    if "n3" in res.spec.columns and cfg.setting == "I":
+        out["n2_s_m0"] = negativity_2(rho_star)
+    elif "n3" in res.spec.columns:
         pairs = pair_negativities(rho_star)
-        cell.update(n3=tripartite_negativity(rho_star), n2_s_m0=pairs[("S", "M0")],
-                    n2_s_m1=pairs[("S", "M1")], n2_m0_m1=pairs[("M0", "M1")])
-    return cell
+        out.update(n3=tripartite_negativity(rho_star), n2_s_m0=pairs[("S", "M0")],
+                   n2_s_m1=pairs[("S", "M1")], n2_m0_m1=pairs[("M0", "M1")])
+    return [out]
 
 
-def _steady_rows(res: Resolved, cell: _Cell) -> List[Sequence]:
-    columns = res.spec.columns
-    out = _steady_cell(_config(res, cell), negativities="n3" in columns)
-    out.update(cell._asdict())
-    return [[out[c] for c in columns]]
-
-
-def _dynamics_rows(res: Resolved, cell: _Cell) -> List[Sequence]:
+def _dynamics_rows(res: Resolved, cell: _Cell) -> List[Dict]:
     n_steps = res.steps or max(1, int(math.ceil((res.t_final or 8.0) / cell.dt)))
     result = evolve(_config(res, cell), res.rho0("excited"), n_steps)
     readouts = zip(result.times, 1.0 - result.fidelity_to_gibbs, result.beta_e)
-    return [[*cell[:4], k, t, one_minus_f, beta_e, "ok"]
+    return [{"step": k, "t": t, "one_minus_f": one_minus_f, "beta_e": beta_e}
             for k, (t, one_minus_f, beta_e) in enumerate(readouts, 1)]
 
 
-def _blp_rows(res: Resolved, cell: _Cell) -> List[Sequence]:
+def _blp_rows(res: Resolved, cell: _Cell) -> List[Dict]:
     out = blp_measure(_config(res, cell), n_steps=res.steps)
-    return [[*cell[:4], out.value, *out.argmax_pair,
-             "ok" if out.converged else "unconverged"]]
+    theta, phi = out.argmax_pair
+    return [{"blp_value": out.value, "theta_opt": theta, "phi_opt": phi,
+             "status": "ok" if out.converged else "unconverged"}]
 
 
-def _trajectory_rows(res: Resolved, cell: _Cell) -> List[Sequence]:
+def _trajectory_rows(res: Resolved, cell: _Cell) -> List[Dict]:
     n_steps = res.steps or 100
     cfg, rho0 = _config(res, cell), res.rho0("ground")
     oracle = evolve(cfg, rho0, n_steps).q_lifecycle[:, 0]
     rows = []
     for m in res.traj_list or [1000]:
         stats = ensemble_mean_heat(cfg, rho0, n_steps, m, master_seed=res.seed)
-        rows += ([cell.setting, m, k, k * cell.dt, *values, "ok"] for k, values in
-                 enumerate(zip(stats.mean_heat[:, 0], stats.std_error[:, 0], oracle), 1))
+        rows += ({"m": m, "step": k, "t": k * cell.dt, "mean_stoch_heat": mean,
+                  "std_error": err, "unconditional_heat": heat} for k, (mean, err, heat)
+                 in enumerate(zip(stats.mean_heat[:, 0], stats.std_error[:, 0], oracle), 1))
     return rows
-
-
-def _limit_scan_rows(res: Resolved, cell: _Cell) -> List[Sequence]:
-    if 0.0 <= cell.delta < HALF_PI:
-        out = _steady_cell(_config(res, cell), negativities=False)
-    else:
-        out = {"delta_beta": math.nan, "heat_flux": math.nan, "status": "delta-out-of-range"}
-    return [[cell.setting, cell.beta, cell.r, cell.dt, 1.0 - cell.dt / cell.r, cell.delta,
-             out["delta_beta"], out["heat_flux"], out["status"]]]
 
 
 @dataclass(frozen=True)
 class _Command:
-    """One command: its CSV columns, the rows of one grid cell, the dt and
-    delta axes it runs when none is given, and the settings it runs when
-    given both or none."""
+    """One command: its CSV columns, the rows of one grid cell (records keyed
+    by column; ``main`` adds the cell's own columns, and nan for any other a
+    record lacks), the dt and delta axes it runs when none is given, and the
+    settings it runs when given both or none."""
 
     columns: Tuple[str, ...]
-    rows: Callable[[Resolved, _Cell], List[Sequence]]
+    rows: Callable[[Resolved, _Cell], List[Dict]]
     dts: Tuple[float, ...] = (0.1,)
     deltas: Tuple[float, ...] = (0.0,)
     settings: Tuple[str, ...] = ("I", "II")
@@ -226,7 +212,7 @@ class _Command:
     delta_from_r: bool = False
 
 
-_CELL = ("setting", "beta", "dt", "delta")  # the columns of cell[:4]
+_CELL = ("setting", "beta", "dt", "delta")
 
 _COMMANDS: Dict[str, _Command] = {
     "steady-state": _Command((*_CELL, "g_e", "beta_e", "delta_beta", "heat_flux", "status"),
@@ -243,7 +229,7 @@ _COMMANDS: Dict[str, _Command] = {
     "sweep": _Command(("beta", "dt", "delta", "delta_beta", "heat_flux",
                        *_NEGATIVITY_COLUMNS, "status"), _steady_rows, settings=("II",)),
     "limit-scan": _Command(("setting", "beta", "r", "dt", "delta", "delta_rad", "delta_beta",
-                            "heat_flux", "status"), _limit_scan_rows,
+                            "heat_flux", "status"), _steady_rows,
                            dts=(1e-2, 5e-3, 2.5e-3, 1.25e-3), settings=("II",),
                            delta_from_r=True),
 }
@@ -399,8 +385,10 @@ class Resolved:
         self.settings = _as_list(values.get("setting", ["I", "II"]))
         if self.settings == ["I", "II"]:
             self.settings = list(self.spec.settings)
-        if self.command == "sweep" and self.settings != ["II"]:
-            raise CollideqError("sweep reports setting II observables; pass --setting II")
+        only = "+".join(self.spec.settings)  # rows that print no setting run only this
+        if "setting" not in self.spec.columns and self.settings != list(self.spec.settings):
+            raise CollideqError(f"{self.command} reports setting {only} observables; "
+                                f"pass --setting {only}")
         self.betas = _as_list(values.get("beta", [1.0]))
         # preset (dt, delta) pairs drive dynamics unless a dt or delta is given
         explicit = {"dt", "dt_grid", "delta", "delta_grid"} & set(values)
@@ -467,13 +455,21 @@ class Resolved:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    rows = []
     try:
         res = Resolved(args)
-        rows = [row for cell in res.cells() for row in res.spec.rows(res, cell)]
+        columns = res.spec.columns
+        for cell in res.cells():
+            try:
+                records = res.spec.rows(res, cell)
+            except tuple(_FAILED) as err:  # flags this cell alone; other errors end the run
+                status = next(s for cls, s in _FAILED.items() if isinstance(err, cls))
+                records = [{"status": status.format_map(vars(err))}]
+            base = {"status": "ok", **cell.fields()}
+            rows += ([rec.get(c, base.get(c, math.nan)) for c in columns] for rec in records)
     except (CollideqError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    columns = res.spec.columns
     write_csv(res.out, res.command, res.echo(), columns, rows)
     status_idx = columns.index("status")
     flagged = sum(1 for row in rows if row[status_idx] != "ok")

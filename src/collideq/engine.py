@@ -600,15 +600,19 @@ def steady_heat_flux(cfg: ModelConfig, bath: int = 0) -> float:
     Evaluated as the ancilla energy change across the system-ancilla
     collision, read off the compound fixed point through the readout rows.
     """
-    rho_star = steady_state(embedded_step_channel(cfg))
-    return steady_heat_flux_from_state(cfg, rho_star, bath)
+    _check_bath(cfg, bath)  # before the solve, whose own failure would hide it
+    return steady_heat_flux_from_state(cfg, steady_state(embedded_step_channel(cfg)), bath)
+
+
+def _check_bath(cfg: ModelConfig, bath) -> None:
+    if not (_is_integer(bath) and 0 <= bath < cfg.n_baths):
+        raise InvalidParameter(f"bath must index one of {cfg.n_baths} baths")
 
 
 def steady_heat_flux_from_state(cfg: ModelConfig, rho_star: DensityMatrix,
                                 bath: int = 0) -> float:
     """Heat flux into ``bath`` given a precomputed compound steady state."""
-    if not (_is_integer(bath) and 0 <= bath < cfg.n_baths):
-        raise InvalidParameter(f"bath must index one of {cfg.n_baths} baths")
+    _check_bath(cfg, bath)
     ops = _step_ops(cfg)
     if rho_star.register != ops.compound_register:
         raise DimensionMismatch(f"state on {rho_star.register.labels}, "

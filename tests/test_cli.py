@@ -12,7 +12,7 @@ import collideq
 from collideq import cli
 from collideq.cli import Resolved, build_parser, main, read_config_file
 from collideq.engine import StepChannel, steady_state
-from collideq.errors import NonUniqueSteadyState
+from collideq.errors import NonUniqueSteadyState, NotHermitian, NumericalPositivityError
 from collideq.tensor import QubitRegister
 
 HALF_PI = math.pi / 2
@@ -142,6 +142,90 @@ class TestSteadyState:
                  "--out", str(out)])
         _, _, rows = read_rows(out)
         assert float(rows[0]["delta_beta"]) < 1e-4
+
+
+def raise_first(monkeypatch, name, error):
+    """Make the CLI's ``name`` raise ``error`` on its first call and run as before after."""
+    real, calls = getattr(cli, name), []
+
+    def patched(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, patched)
+
+
+class TestFailedCell:
+    @pytest.mark.parametrize("name, error, status, args, identity, n_other", [
+        ("evolve", NumericalPositivityError("Born probability below 0"), "nonpositive",
+         ["dynamics", "--setting", "I", "--beta", "2", "--dt-grid", "0.1:0.2:2", "--steps", "3"],
+         {"setting": "I", "beta": "2", "dt": "0.1", "delta": "0"}, 3),
+        ("blp_measure", NonUniqueSteadyState(2), "nonunique:2",
+         ["blp", "--setting", "II", "--beta", "2", "--dt", "0.1", "--delta-grid", "0:0.5:2",
+          "--steps", "200"],
+         {"setting": "II", "beta": "2", "dt": "0.1", "delta": "0"}, 1),
+        # trajectories runs one cell, so its failed cell is the whole CSV: one
+        # row, with m, step and t nan too
+        ("ensemble_mean_heat", NotHermitian("state is not Hermitian"), "not-hermitian",
+         ["trajectories", "--preset", "fig5", "--steps", "2"], {"setting": "II"}, 0),
+    ], ids=["dynamics", "blp", "trajectories"])
+    def test_numerical_error_flags_its_cell(self, tmp_path, monkeypatch, name, error, status,
+                                            args, identity, n_other):
+        raise_first(monkeypatch, name, error)
+        out = tmp_path / "o.csv"
+        code = run_cli(args + ["--out", str(out)])
+        assert code == 1
+        _, columns, rows = read_rows(out)
+        failed, *others = rows
+        assert failed == {**dict.fromkeys(columns, "nan"), **identity, "status": status}
+        assert len(others) == n_other
+        assert all(r["status"] == "ok" and "nan" not in r.values() for r in others)
+
+    def test_limit_scan_failed_cell_keeps_its_deltas(self, tmp_path, monkeypatch):
+        break_first_cell(monkeypatch, replace_by(np.diag([1.5, -0.5])))
+        out = tmp_path / "ls.csv"
+        code = run_cli(["limit-scan", "--beta", "2", "--r", "5", "--dt-grid", "0.01:0.02:2",
+                        "--out", str(out)])
+        assert code == 1
+        _, _, rows = read_rows(out)
+        assert [r["status"] for r in rows] == ["nonpositive", "ok"]
+        assert rows[0]["r"] == "5" and rows[0]["dt"] == "0.01"
+        # delta in half-pi units is 1 - dt/r, as on an ok row
+        assert rows[0]["delta"] == f"{1 - 0.01 / 5:.12g}"
+        assert rows[0]["delta_rad"] == f"{(1 - 0.01 / 5) * HALF_PI:.12g}"
+        assert rows[0]["delta_beta"] == rows[0]["heat_flux"] == "nan"
+
+
+# a small run of each command whose every row prints status ok
+OK_RUNS = {
+    "steady-state": ["--beta", "2", "--dt", "0.1", "--delta", "0.5"],
+    "heat": ["--beta", "2", "--dt", "0.1", "--delta", "0.5"],
+    "negativity": ["--beta", "2", "--dt", "0.1", "--delta", "0.5"],
+    "sweep": ["--beta", "2", "--dt", "0.1", "--delta", "0.5"],
+    "dynamics": ["--beta", "2", "--dt", "0.1", "--delta", "0.5", "--steps", "2"],
+    "blp": ["--beta", "2", "--dt", "0.1", "--delta", "0.5", "--steps", "200"],
+    "trajectories": ["--traj", "10", "--steps", "2"],
+    "limit-scan": ["--beta", "2", "--r", "5", "--dt", "0.01"],
+}
+# setting I has one memory qubit, so it has no tripartite or M1 negativity
+SETTING_I_NAN = {"n3", "n2_s_m1", "n2_m0_m1"}
+
+
+class TestNoSilentNan:
+    def test_every_command_has_a_run(self):
+        assert set(OK_RUNS) == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", OK_RUNS)
+    def test_ok_rows_fill_every_column(self, tmp_path, command):
+        # a record key that misses its column would print nan beside status ok
+        out = tmp_path / "o.csv"
+        assert run_cli([command, *OK_RUNS[command], "--out", str(out)]) == 0
+        _, columns, rows = read_rows(out)
+        for row in rows:
+            allowed = SETTING_I_NAN & set(columns) if row.get("setting") == "I" else set()
+            assert {c for c, v in row.items() if v == "nan"} == allowed
 
 
 class TestDeterminism:

@@ -917,6 +917,9 @@ _PAIR_DM = DensityMatrix(QubitRegister(["S", "X"]), np.eye(4, dtype=complex) / 4
     (lambda: _flux_state(0.5), InvalidParameter, "bath"),
     (lambda: steady_heat_flux(cfg_ii(dt=0.1), bath=True), InvalidParameter, "bath"),
     (lambda: steady_heat_flux(cfg_ii(dt=0.1), bath=0.5), InvalidParameter, "bath"),
+    # a cell whose solve fails (nonpositive) still reports the bad bath
+    (lambda: steady_heat_flux(ModelConfig(beta=40, dt=0.005, delta=0.999 * HALF_PI,
+                                          setting="II"), bath=7), InvalidParameter, "bath"),
     (lambda: cfg_i().bath_state(1), InvalidParameter, "single bath"),
     (lambda: cfg_ii().bath_state(2), InvalidParameter, "baths 0 and 1"),
     # a system state has the wrong size for the compound's readout rows
@@ -926,7 +929,8 @@ _PAIR_DM = DensityMatrix(QubitRegister(["S", "X"]), np.eye(4, dtype=complex) / 4
     (lambda: markovian_step(cfg_ii(), _PAIR_DM), DimensionMismatch, r"\('S', 'X'\)"),
 ], ids=["evolve-zero-steps", "evolve-fractional-steps", "evolve-bool-steps",
         "heat-flux-third-bath", "heat-flux-bool-bath", "heat-flux-fractional-bath",
-        "steady-flux-bool-bath", "steady-flux-fractional-bath", "setting1-bath-1",
+        "steady-flux-bool-bath", "steady-flux-fractional-bath", "steady-flux-bath-on-failing-cell",
+        "setting1-bath-1",
         "setting2-bath-2", "heat-flux-system-state", "evolve-two-qubit-state",
         "markovian-step-two-qubit-state"])
 def test_input_checks_raise(call, error, match):
