@@ -10,9 +10,13 @@ block-diagonal (the connected blocks of its nonzero pattern), and a trace
 distance reads only the system entries 00 and 01, so only the blocks that
 hold their compound terms are propagated, each by its own product, and
 each entry is the plain sum of its terms. The other blocks never reach the
-readout. Trace distances below 1e-14, the propagation noise floor, are
-reported as zero; divisible (delta = 0) dynamics give values at that floor:
-zero, or ~1e-14 where a distance straddles it from step to step.
+readout. The steps run in chunks of ``_CHUNK_STEPS``: each step's products
+go into a buffer that holds the chunk, and the chunk is read out at once,
+one row per step. The readout is elementwise and the revival sum adds the
+steps one row at a time, in step order, so every bit is what a readout
+after each step gives. Trace distances below 1e-14, the propagation noise
+floor, are reported as zero; divisible (delta = 0) dynamics give values at
+that floor: zero, or ~1e-14 where a distance straddles it from step to step.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .tensor import connected_blocks
 _DISTANCE_FLOOR = 1e-14
 _CONVERGENCE_TOL = 1e-6
 _MAX_DEFAULT_STEPS = 10 ** 6
+_CHUNK_STEPS = 12  # steps propagated between two readouts
 
 
 def default_n_steps(cfg: ModelConfig) -> int:
@@ -107,27 +112,34 @@ def _readout_blocks(core):
 
 
 def _distance_series(steps, terms, cols: np.ndarray, n_steps: int) -> Iterator[np.ndarray]:
-    """Trace distances of the columns after each of ``n_steps`` steps.
+    """Trace distances of the columns after each of ``n_steps`` steps, in chunks.
 
     ``cols`` holds the read blocks' entries of vectorized difference
-    operators, one column per pair; each block is stepped by its own product.
-    ``cols`` itself is left as it is.
+    operators, one column per pair; each block is stepped by its own product,
+    one step at a time, into a buffer of ``_CHUNK_STEPS + 1`` states. Each
+    chunk is then read at once and yielded as a ``(k, pairs)`` array, one row
+    per step, ``k <= _CHUNK_STEPS``. The readout is elementwise, so its bits
+    do not depend on the chunk. ``cols`` itself is left as it is.
     """
-    cur, nxt = cols.copy(), np.empty_like(cols)
+    buf = np.empty((_CHUNK_STEPS + 1, *cols.shape), dtype=cols.dtype)
+    buf[0] = cols
     (first00, *rest00), (first01, *rest01) = terms
-    for _ in range(n_steps):
-        for sl, block in steps:
-            np.matmul(block, cur[sl], out=nxt[sl])
-        cur, nxt = nxt, cur
+    for start in range(0, n_steps, _CHUNK_STEPS):
+        k = min(_CHUNK_STEPS, n_steps - start)
+        for t in range(k):
+            for sl, block in steps:
+                np.matmul(block, buf[t, sl], out=buf[t + 1, sl])
+        chunk = buf[1:k + 1]
         # the 0/1 readout row adds its terms in this order; a complex sum's
         # real part is the sum of the real parts, bit for bit
-        a = cur[first00].real
+        a = chunk[:, first00].real
         for i in rest00:
-            a = a + cur[i].real
-        b = cur[first01]
+            a = a + chunk[:, i].real
+        b = chunk[:, first01]
         for i in rest01:
-            b = b + cur[i]
+            b = b + chunk[:, i]
         yield _distances(a, b)
+        buf[0] = buf[k]
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,11 +184,13 @@ def blp_measure(cfg: ModelConfig, n_steps: Optional[int] = None,
     values = np.zeros(n_pairs)
     max_inc = np.full(n_pairs, -np.inf)
     d_prev = np.ones(n_pairs)
-    for d_cur in _distance_series(steps, terms, cols, n_steps):
-        inc = d_cur - d_prev
-        np.maximum(max_inc, inc, out=max_inc)
-        values += np.where(inc > 0.0, inc, 0.0)
-        d_prev = d_cur
+    for d in _distance_series(steps, terms, cols, n_steps):
+        inc = np.diff(d, axis=0, prepend=d_prev[None])
+        np.maximum(max_inc, inc.max(axis=0), out=max_inc)
+        # one addition per step, in step order; a sum over steps would regroup them
+        for gain in np.where(inc > 0.0, inc, 0.0):
+            values += gain
+        d_prev = d[-1]
 
     best = int(np.argmax(values))  # first occurrence = lexicographic (theta, phi)
     theta_opt = float(thetas[best // n_phi])
@@ -184,10 +198,8 @@ def blp_measure(cfg: ModelConfig, n_steps: Optional[int] = None,
 
     # second pass: the best pair alone; it rounds apart from its column of
     # the grid pass, so it matches that pass to ~1e-14, not bit for bit
-    series = np.empty(n_steps + 1)
-    series[0] = 1.0
-    for n, d in enumerate(_distance_series(steps, terms, cols[:, [best]], n_steps), 1):
-        series[n] = d[0]
+    chunks = _distance_series(steps, terms, cols[:, [best]], n_steps)
+    series = np.concatenate([np.ones(1), *(d[:, 0] for d in chunks)])
 
     final_distance = float(d_prev[best])
     return BlpResult(

@@ -153,14 +153,17 @@ _NEGATIVITY_COLUMNS = ("n3", "n2_s_m0", "n2_s_m1", "n2_m0_m1")
 def _steady_rows(res: Resolved, cell: _Cell) -> List[Dict]:
     if cell.r is not None and not 0.0 <= cell.delta < HALF_PI:
         return [{"status": "delta-out-of-range"}]
-    cfg = _config(res, cell)
+    cfg, columns = _config(res, cell), res.spec.columns
     rho_star = steady_state(embedded_step_channel(cfg))
-    est = effective_temperature(partial_trace(rho_star, ["S"]), cfg.omega)
-    out = {"g_e": est.g_e, "beta_e": est.beta_e, "delta_beta": est.beta_e - cfg.beta,
-           "heat_flux": steady_heat_flux_from_state(cfg, rho_star, bath=0)}
-    if "n3" in res.spec.columns and cfg.setting == "I":
+    out = {}  # only what the command prints
+    if "delta_beta" in columns:
+        est = effective_temperature(partial_trace(rho_star, ["S"]), cfg.omega)
+        out.update(g_e=est.g_e, beta_e=est.beta_e, delta_beta=est.beta_e - cfg.beta)
+    if "heat_flux" in columns:
+        out["heat_flux"] = steady_heat_flux_from_state(cfg, rho_star, bath=0)
+    if "n3" in columns and cfg.setting == "I":
         out["n2_s_m0"] = negativity_2(rho_star)
-    elif "n3" in res.spec.columns:
+    elif "n3" in columns:
         pairs = pair_negativities(rho_star)
         out.update(n3=tripartite_negativity(rho_star), n2_s_m0=pairs[("S", "M0")],
                    n2_s_m1=pairs[("S", "M1")], n2_m0_m1=pairs[("M0", "M1")])

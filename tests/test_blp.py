@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from collideq.blp import (_bloch_grid, _pair_differences, blp_measure, default_n_steps,
+from collideq.blp import (_CHUNK_STEPS, _bloch_grid, _distance_series, _pair_differences,
+                          _readout_blocks, blp_measure, default_n_steps,
                           recompute_value_from_series)
 from collideq.engine import ModelConfig, _step_ops
 from collideq.errors import InvalidParameter
@@ -205,3 +206,70 @@ def test_readout_blocks_pick_the_full_step_best_pair_off_the_poles(setting, beta
     _, _, argmax = full_path(c, default_n_steps(c), (16, 8))
     assert 0.0 < res.argmax_pair[0] < math.pi
     assert res.argmax_pair == argmax
+
+
+def per_step_distances(steps, terms, cols, n_steps):
+    """Trace distances read after every single step (the unchunked loop)."""
+    cur, nxt = cols.copy(), np.empty_like(cols)
+    (first00, *rest00), (first01, *rest01) = terms
+    for _ in range(n_steps):
+        for sl, block in steps:
+            np.matmul(block, cur[sl], out=nxt[sl])
+        cur, nxt = nxt, cur
+        a = cur[first00].real
+        for i in rest00:
+            a = a + cur[i].real
+        b = cur[first01]
+        for i in rest01:
+            b = b + cur[i]
+        d = np.sqrt(a * a + np.abs(b) ** 2)
+        d[d < 1e-14] = 0.0
+        yield d
+
+
+def grid_columns(c, grid):
+    core = _step_ops(c)
+    rows, steps, terms = _readout_blocks(core)
+    thetas, phis = _bloch_grid(*grid)
+    cols = core.attach(_pair_differences(thetas, phis)).reshape(grid[0] * grid[1], -1).T[rows]
+    return steps, terms, cols
+
+
+CHUNK_EDGES = [1, _CHUNK_STEPS - 1, _CHUNK_STEPS, _CHUNK_STEPS + 1, 2 * _CHUNK_STEPS + 3]
+
+
+@pytest.mark.parametrize("n_steps", CHUNK_EDGES)
+@pytest.mark.parametrize("setting", ["I", "II"])
+@pytest.mark.parametrize("n_cols", [1, 512])
+def test_chunked_distances_match_per_step_readout(setting, n_steps, n_cols):
+    steps, terms, cols = grid_columns(cfg(setting, dt=0.1, delta=0.95 * HALF_PI), (32, 16))
+    cols = cols[:, [200]] if n_cols == 1 else cols
+    chunks = list(_distance_series(steps, terms, cols, n_steps))
+    assert [len(d) for d in chunks[:-1]] == [_CHUNK_STEPS] * (len(chunks) - 1)
+    assert 1 <= len(chunks[-1]) <= _CHUNK_STEPS
+    expected = np.array(list(per_step_distances(steps, terms, cols, n_steps)))
+    assert np.array_equal(np.concatenate(chunks), expected)
+
+
+@pytest.mark.parametrize("n_steps", CHUNK_EDGES)
+@pytest.mark.parametrize("setting", ["I", "II"])
+def test_chunked_measure_matches_per_step_accumulation(setting, n_steps):
+    c = cfg(setting, dt=0.1, delta=0.95 * HALF_PI)
+    steps, terms, cols = grid_columns(c, (32, 16))
+    values = np.zeros(512)
+    max_inc = np.full(512, -np.inf)
+    d_prev = np.ones(512)
+    for d in per_step_distances(steps, terms, cols, n_steps):
+        inc = d - d_prev
+        np.maximum(max_inc, inc, out=max_inc)
+        values += np.where(inc > 0.0, inc, 0.0)
+        d_prev = d
+    best = int(np.argmax(values))
+    series = [1.0, *(d[0] for d in per_step_distances(steps, terms, cols[:, [best]], n_steps))]
+
+    res = blp_measure(c, n_steps=n_steps, grid=(32, 16))
+    assert np.array_equal(res.pair_values, values)
+    assert np.array_equal(res.max_increment_per_pair, max_inc)
+    assert np.array_equal(res.series, series)
+    assert res.final_distance == d_prev[best]
+    assert res.value == values[best]

@@ -213,6 +213,24 @@ OK_RUNS = {
 SETTING_I_NAN = {"n3", "n2_s_m1", "n2_m0_m1"}
 
 
+class TestPrintedReadoutsOnly:
+    @pytest.mark.parametrize("command, expected", [
+        ("steady-state", (1, 1)), ("heat", (0, 1)), ("negativity", (0, 0)), ("sweep", (1, 1)),
+        ("limit-scan", (1, 1))])
+    def test_readouts_without_a_column_are_not_computed(self, tmp_path, monkeypatch, command,
+                                                        expected):
+        names = ("effective_temperature", "steady_heat_flux_from_state")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        out = tmp_path / "o.csv"
+        assert run_cli([command, *OK_RUNS[command], "--setting", "II", "--out", str(out)]) == 0
+        assert tuple(calls[name] for name in names) == expected
+
+
 class TestNoSilentNan:
     def test_every_command_has_a_run(self):
         assert set(OK_RUNS) == set(cli._COMMANDS)
