@@ -5,9 +5,9 @@ Every command writes a self-describing CSV: a leading comment block of
 row, then data rows ordered by grid iteration. Output is byte-identical
 across runs for a fixed command line and seed. A cell that one of the
 numerical errors in ``_FAILED`` fails writes one row: its own columns, nan
-in every other and the error's status. Any other error (a bad input) exits 2
-before any CSV is written. The exit code is 0 only if every row carries
-status ``ok``.
+in every other and the error's status. Any other error (a bad input, a
+missing output directory, a failed write) exits 2 with no CSV written. The
+exit code is 0 only if every row carries status ``ok``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
@@ -403,6 +404,8 @@ class Resolved:
             raise InvalidParameter(
                 f"limit-scan ratios must be positive and finite (got {self.r_values})")
         self.out = values.get("out", f"collideq_{self.command}.csv")
+        if not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise CollideqError(f"the directory of output file {self.out} does not exist")
 
     def _axis(self, values: Dict, name: str, index: int, default: Tuple) -> np.ndarray:
         """The values of the dt or delta axis: its value or grid (at most one
@@ -470,10 +473,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 records = [{"status": status.format_map(vars(err))}]
             base = {"status": "ok", **cell.fields()}
             rows += ([rec.get(c, base.get(c, math.nan)) for c in columns] for rec in records)
-    except (CollideqError, ValueError) as err:
+        write_csv(res.out, res.command, res.echo(), columns, rows)
+    except (CollideqError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    write_csv(res.out, res.command, res.echo(), columns, rows)
     status_idx = columns.index("status")
     flagged = sum(1 for row in rows if row[status_idx] != "ok")
     print(f"wrote {res.out}: {len(rows)} rows, {flagged} flagged")

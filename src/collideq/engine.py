@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -124,25 +124,6 @@ class ModelConfig:
         raise InvalidParameter("setting II has baths 0 and 1")
 
 
-@dataclass(frozen=True)
-class HeatRecord:
-    """Heat absorbed by one ancilla, resolved over its three collisions.
-
-    ``q_intra_in`` is collected while the unit is the fresh partner of its
-    predecessor, ``q_sa`` across the system collision, ``q_intra_out`` while
-    handing off to its successor. Markovian runs have zero intra terms.
-    """
-
-    bath: int
-    q_sa: float
-    q_intra_in: float = 0.0
-    q_intra_out: float = 0.0
-
-    @property
-    def q_lifecycle(self) -> float:
-        return self.q_intra_in + self.q_sa + self.q_intra_out
-
-
 def heisenberg_interaction(j: float, pair: Sequence[str], register: QubitRegister) -> HermitianOp:
     """-(J/2)(XX + YY + ZZ) on ``pair``, identity elsewhere."""
     return HermitianOp(register, embed(j * _HEISENBERG_2, pair, register))
@@ -152,13 +133,6 @@ def partial_swap(theta: float, pair: Sequence[str], register: QubitRegister) -> 
     """cos(theta) 1 - i sin(theta) SWAP on ``pair``."""
     u2 = math.cos(theta) * np.eye(4, dtype=complex) - 1j * math.sin(theta) * SWAP_2
     return UnitaryOp(register, embed(u2, pair, register))
-
-
-def intra_bath_unitary(delta: float, pair: Sequence[str], register: QubitRegister) -> UnitaryOp:
-    """Ancilla-ancilla collision of fixed angle delta in [0, pi/2)."""
-    if not (0.0 <= delta < math.pi / 2):
-        raise InvalidParameter(f"delta must lie in [0, pi/2) (got {delta})")
-    return partial_swap(delta, pair, register)
 
 
 def setting2_unitary(cfg: ModelConfig, register: QubitRegister,
@@ -211,7 +185,7 @@ def _bath_pieces(setting: str, beta: float, omega: float, delta: float):
     """
     cfg = ModelConfig(beta=beta, dt=1.0, omega=omega, delta=delta, setting=setting)  # dt unread
     baths = [cfg.bath_state(b) for b in range(cfg.n_baths)]
-    intra = intra_bath_unitary(delta, ("M", "F"), QubitRegister(["M", "F"])).mat
+    intra = partial_swap(delta, ("M", "F"), QubitRegister(["M", "F"])).mat
     # (M_out, F_out, M_in, F_in) -> (F_in, M_out, F_out, M_in)
     kraus = intra.reshape(2, 2, 2, 2).transpose(3, 0, 1, 2)
     # np.kron joins all four axes (birth, outcome, F_out, M_in) bath by
@@ -297,10 +271,6 @@ class _StepOps:
         self.readout = np.array(rows, dtype=complex)
 
     @property
-    def compound_dim(self) -> int:
-        return self.compound_register.dim
-
-    @property
     def system_rows(self) -> np.ndarray:
         return self.readout[:4]
 
@@ -318,7 +288,7 @@ class _StepOps:
         """(q_sa, q_intra_out, q_intra_in) per bath from readouts of pre-step compounds.
 
         ``q_intra_in`` is the heat the fresh unit attached this step picks up,
-        the *next* record's incoming heat. Leading axes of ``reads`` are kept.
+        the *next* step's incoming heat. Leading axes of ``reads`` are kept.
         """
         q = reads[..., 4:].real.reshape(reads.shape[:-1] + (-1, 3))
         return q[..., 0], q[..., 1], q[..., 2]
@@ -359,12 +329,6 @@ def _system_matrix(rho_s: DensityMatrix) -> np.ndarray:
     return rho_s.mat
 
 
-def _bare_step_ops(cfg: ModelConfig) -> _StepOps:
-    if cfg.delta != 0.0:
-        raise InvalidParameter("the bare-system step requires delta = 0")
-    return _step_ops(cfg)
-
-
 @dataclass(frozen=True, eq=False)
 class StepChannel:
     """One-collision CPTP map as a superoperator on row-major vectorized states.
@@ -392,22 +356,11 @@ def embedded_step_channel(cfg: ModelConfig) -> StepChannel:
     return StepChannel(register=ops.compound_register, superop=ops.superop)
 
 
-def markovian_step(cfg: ModelConfig, rho_s: DensityMatrix) -> Tuple[DensityMatrix, Tuple[HeatRecord, ...]]:
-    """One fresh-ancilla collision on the bare system, with per-bath heat.
-
-    This is the delta = 0 compound step with a fresh memory attached to the
-    system beforehand and the compound's memory traced out afterwards.
-    """
-    ops = _bare_step_ops(cfg)
-    rho_c, q_sa, _, _ = ops.step_with_heat(ops.attach(_system_matrix(rho_s)))
-    reduced = (ops.system_rows @ rho_c.reshape(-1)).reshape(2, 2)
-    records = tuple(HeatRecord(bath=b, q_sa=float(q_sa[b])) for b in range(cfg.n_baths))
-    return DensityMatrix(rho_s.register, reduced), records
-
-
 def markovian_channel(cfg: ModelConfig) -> StepChannel:
     """One-collision channel on the system alone (delta = 0)."""
-    ops = _bare_step_ops(cfg)
+    if cfg.delta != 0.0:
+        raise InvalidParameter("the bare-system channel requires delta = 0")
+    ops = _step_ops(cfg)
     # columns: vec(E_ij x fresh memories) for the four system basis matrices E_ij
     attach = ops.attach(np.eye(4, dtype=complex).reshape(4, 2, 2)).reshape(4, -1).T
     superop = ops.system_rows @ ops.superop @ attach
@@ -527,9 +480,13 @@ class EvolutionResult:
     ``fidelity_to_gibbs`` and ``beta_e`` are read off the stacked
     ``states`` in one pass. ``beta_e`` is NaN where the system state is not
     diagonal and signed infinity where it is numerically pure. Heat arrays
-    have one column per bath; ``q_lifecycle[n]`` is complete once step n has
-    run (the incoming intra-collision of the unit measured at step n
-    happened at step n-1).
+    have one column per bath; row n is the heat absorbed by the ancilla
+    retired at step n, resolved over its three collisions: ``q_intra_in``
+    while it was the fresh partner of its predecessor, ``q_sa`` across the
+    system collision and ``q_intra_out`` while handing off to its successor.
+    Markovian runs have intra terms of zero to rounding. ``q_lifecycle[n]``
+    is complete once step n has run (the incoming intra-collision of the
+    unit measured at step n happened at step n-1).
     """
 
     times: np.ndarray
@@ -539,22 +496,10 @@ class EvolutionResult:
     q_intra_out: np.ndarray
     fidelity_to_gibbs: np.ndarray
     beta_e: np.ndarray
-    final_compound: DensityMatrix
 
     @property
     def q_lifecycle(self) -> np.ndarray:
         return self.q_intra_in + self.q_sa + self.q_intra_out
-
-    def heat_records(self, step: int) -> Tuple[HeatRecord, ...]:
-        return tuple(
-            HeatRecord(
-                bath=b,
-                q_sa=float(self.q_sa[step, b]),
-                q_intra_in=float(self.q_intra_in[step, b]),
-                q_intra_out=float(self.q_intra_out[step, b]),
-            )
-            for b in range(self.q_sa.shape[1])
-        )
 
 
 def evolve(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int) -> EvolutionResult:
@@ -586,11 +531,9 @@ def evolve(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int) -> EvolutionRe
     fid = _fidelities(states, target.mat)
     _, beta_e, _ = _effective_betas(states, cfg.omega)
 
-    final = DensityMatrix(ops.compound_register, v.reshape(ops.compound_dim, -1))
     return EvolutionResult(
         times=times, states=states, q_sa=q_sa, q_intra_in=q_intra_in,
         q_intra_out=q_intra_out, fidelity_to_gibbs=fid, beta_e=beta_e,
-        final_compound=final,
     )
 
 

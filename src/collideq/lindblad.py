@@ -30,7 +30,7 @@ class LindbladSpec:
 
     ``h_sys`` must be Hermitian to 1e-12. Each jump is an ``(operator,
     rate)`` pair with a finite nonnegative rate; all operators share the
-    system dimension.
+    system dimension, and at least one operator must be given.
     """
 
     h_sys: Optional[np.ndarray]
@@ -47,6 +47,8 @@ class LindbladSpec:
             op = _as_matrix(op)
             dims.add(op.shape[0])
             jumps.append((op, float(rate)))
+        if not dims:
+            raise InvalidParameter("a spec needs h_sys or at least one jump")
         if len(dims) > 1:
             raise DimensionMismatch(f"operators of mixed dimensions {dims}")
         object.__setattr__(self, "jumps", tuple(jumps))
@@ -101,17 +103,24 @@ def integrate(spec: LindbladSpec, rho0: np.ndarray, t_final: float,
               h_step: float) -> Tuple[np.ndarray, np.ndarray]:
     """RK4 integration; returns (times, states) with states[k] at times[k].
 
-    The trace is renormalized whenever its drift exceeds 1e-12 (counted and
-    logged); drift beyond 1e-6 in a single step raises IntegrationUnstable.
+    ``t_final`` must be a whole number of steps ``h_step`` (to 1e-9
+    relative) and ``rho0`` a ``(spec.dim, spec.dim)`` matrix. The trace is
+    renormalized whenever its drift exceeds 1e-12 (counted and logged);
+    drift beyond 1e-6 in a single step raises IntegrationUnstable.
     """
     if not 0 < h_step < math.inf:
         raise InvalidParameter(f"h_step must be positive and finite (got {h_step})")
     if not 0 <= t_final < math.inf:
         raise InvalidParameter(f"t_final must be finite and nonnegative (got {t_final})")
-    gen = liouvillian_matrix(spec)
+    n_steps = round(t_final / h_step)
+    if abs(t_final / h_step - n_steps) > 1e-9 * max(n_steps, 1):
+        raise InvalidParameter(f"t_final={t_final} is not a multiple of h_step={h_step}")
     d = spec.dim
-    rho = _as_matrix(rho0).astype(complex).reshape(-1)
-    n_steps = int(round(t_final / h_step))
+    rho = _as_matrix(rho0).astype(complex)
+    if rho.shape != (d, d):
+        raise DimensionMismatch(f"rho0 of shape {rho.shape}, not ({d}, {d})")
+    rho = rho.reshape(-1)
+    gen = liouvillian_matrix(spec)
     times = np.arange(n_steps + 1) * h_step
     out = np.empty((n_steps + 1, d, d), dtype=complex)
     out[0] = rho.reshape(d, d)

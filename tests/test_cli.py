@@ -318,6 +318,27 @@ class TestEcho:
         assert "steps" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_in_missing_directory_rejected_before_any_cell(self, tmp_path, capsys,
+                                                               monkeypatch):
+        solves = []
+        monkeypatch.setattr(cli, "steady_state", lambda ch: solves.append(ch) or steady_state(ch))
+        out = tmp_path / "missing" / "x.csv"
+        code = run_cli(["heat", "--setting", "II", "--dt", "0.1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: the directory of output file {out} does not exist" in err
+        assert solves == []
+        assert not out.parent.exists()
+
+    def test_failed_csv_write_exits_2(self, tmp_path, capsys):
+        # the path is a directory: the cells run, and the write fails
+        out = tmp_path / "taken"
+        out.mkdir()
+        code = run_cli(["heat", "--setting", "II", "--dt", "0.1", "--out", str(out)])
+        assert code == 2
+        assert re.search(r"^error: .*Is a directory", capsys.readouterr().err, re.M)
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("t_final", ["0", "-3", "inf", "nan"])
     def test_non_positive_t_final_rejected(self, tmp_path, capsys, t_final):
         out = tmp_path / "o.csv"

@@ -5,15 +5,12 @@ import pytest
 
 from collideq.engine import (
     EvolutionResult,
-    HeatRecord,
     ModelConfig,
     StepChannel,
     embedded_step_channel,
     evolve,
     heisenberg_interaction,
-    intra_bath_unitary,
     markovian_channel,
-    markovian_step,
     partial_swap,
     setting2_unitary,
     steady_heat_flux,
@@ -156,14 +153,13 @@ class TestUnitaries:
         assert np.abs(np.abs(out1[0, 1]) - np.abs(out2[0, 1])) < 1e-12
 
     def test_intra_bath_unitary(self):
+        # the intra-bath collision is the partial SWAP of angle delta
         reg = QubitRegister(["M", "F"])
-        assert np.abs(intra_bath_unitary(0.0, ("M", "F"), reg).mat - np.eye(4)).max() == 0.0
-        u = intra_bath_unitary(0.95 * HALF_PI, ("M", "F"), reg).mat
-        v = intra_bath_unitary(0.95 * HALF_PI, ("M", "F"), reg).mat
+        assert np.abs(partial_swap(0.0, ("M", "F"), reg).mat - np.eye(4)).max() == 0.0
+        u = partial_swap(0.95 * HALF_PI, ("M", "F"), reg).mat
+        v = partial_swap(0.95 * HALF_PI, ("M", "F"), reg).mat
         # composing delta with -delta via the adjoint gives identity
         assert np.abs(u @ v.conj().T - np.eye(4)).max() < 1e-12
-        with pytest.raises(InvalidParameter):
-            intra_bath_unitary(HALF_PI, ("M", "F"), reg)
 
     def test_setting2_unitary_factorizes_at_zero_temperature(self):
         c = cfg_ii(beta=math.inf, dt=0.02)
@@ -222,47 +218,44 @@ class TestUnitaries:
 
 
 class TestMarkovianStep:
+    """The delta = 0 step, read off ``evolve``'s per-step ``states`` and ``q_sa``."""
+
     def test_thermal_fixed_point_and_zero_heat(self):
         c = cfg_i(beta=2.0, dt=0.05)
         rho = gibbs_qubit(2.0, 1.0)
-        out, records = markovian_step(c, rho)
-        assert np.abs(out.mat - rho.mat).max() < 1e-12
-        assert len(records) == 1
-        assert abs(records[0].q_sa) < 1e-12
-        assert records[0].q_lifecycle == records[0].q_sa
+        res = evolve(c, rho, 1)
+        assert np.abs(res.states[0] - rho.mat).max() < 1e-12
+        assert res.q_sa.shape == (1, 1)
+        assert abs(res.q_sa[0, 0]) < 1e-12
+        assert res.q_lifecycle[0, 0] == res.q_sa[0, 0]
 
     def test_setting2_heats_equal_and_opposite_at_steady_state(self):
         # away from the fixed point the imbalance equals the system energy
         # change; at the fixed point the two bath heats cancel exactly
         c = cfg_ii(beta=0.7, dt=0.08)
-        rho = steady_state(markovian_channel(c))
-        for _ in range(5):
-            rho, records = markovian_step(c, rho)
-            assert abs(records[0].q_sa + records[1].q_sa) < 1e-12
-            assert records[0].q_sa > 0.0
+        res = evolve(c, steady_state(markovian_channel(c)), 5)
+        assert np.abs(res.q_sa[:, 0] + res.q_sa[:, 1]).max() < 1e-12
+        assert np.all(res.q_sa[:, 0] > 0.0)
 
     def test_setting2_transient_imbalance_matches_system_energy_change(self):
         c = cfg_ii(beta=0.7, dt=0.08)
-        rho = sys_dm(np.diag([0.4, 0.6]))
-        for _ in range(20):
-            new, records = markovian_step(c, rho)
-            de_sys = 0.5 * (new.mat[0, 0] - new.mat[1, 1] - rho.mat[0, 0] + rho.mat[1, 1]).real
-            assert abs(de_sys + records[0].q_sa + records[1].q_sa) < 1e-12
-            rho = new
+        rho0 = np.diag([0.4, 0.6]).astype(complex)
+        res = evolve(c, sys_dm(rho0), 20)
+        before = np.concatenate([rho0[None], res.states[:-1]])
+        de_sys = 0.5 * (res.states[:, 0, 0] - res.states[:, 1, 1]
+                        - before[:, 0, 0] + before[:, 1, 1]).real
+        assert np.abs(de_sys + res.q_sa[:, 0] + res.q_sa[:, 1]).max() < 1e-12
 
     def test_setting2_zero_temperature_matches_setting1(self):
-        rho1 = sys_dm(np.diag([0.55, 0.45]))
-        rho2 = sys_dm(np.diag([0.55, 0.45]))
-        c1 = cfg_i(beta=math.inf, dt=0.03)
-        c2 = cfg_ii(beta=math.inf, dt=0.03)
-        for _ in range(50):
-            rho1, _ = markovian_step(c1, rho1)
-            rho2, _ = markovian_step(c2, rho2)
-            assert np.abs(rho1.mat - rho2.mat).max() < 1e-10
+        rho = sys_dm(np.diag([0.55, 0.45]))
+        res1 = evolve(cfg_i(beta=math.inf, dt=0.03), rho, 50)
+        res2 = evolve(cfg_ii(beta=math.inf, dt=0.03), rho, 50)
+        assert np.abs(res1.states - res2.states).max() < 1e-10
 
     def test_matches_explicit_bare_collision(self):
         # oracle built only from the public unitaries: system + fresh
-        # ancillas, one conjugation, ancillas traced out
+        # ancillas, one conjugation, ancillas traced out; each step starts
+        # from the state evolve reported for the step before
         for cfg in (cfg_i(beta=0.7, dt=0.08), cfg_ii(beta=0.7, dt=0.08)):
             labels = ["S"] + [f"A{b}" for b in range(cfg.n_baths)]
             reg = QubitRegister(labels)
@@ -271,23 +264,23 @@ class TestMarkovianStep:
             else:
                 u = setting2_unitary(cfg, reg, "S", "A0", "A1").mat
             fresh = kron(*(cfg.bath_state(b) for b in range(cfg.n_baths)))
-            rho = sys_dm(np.array([[0.35, 0.2 - 0.1j], [0.2 + 0.1j, 0.65]]))
-            for _ in range(5):
-                before = np.kron(rho.mat, fresh)
+            rho = np.array([[0.35, 0.2 - 0.1j], [0.2 + 0.1j, 0.65]])
+            res = evolve(cfg, sys_dm(rho), 5)
+            for out, q_sa in zip(res.states, res.q_sa):
+                before = np.kron(rho, fresh)
                 after = u @ before @ u.conj().T
                 f = fresh.shape[0]
                 expected = np.einsum("ikjk->ij", after.reshape(2, f, 2, f))
-                out, records = markovian_step(cfg, rho)
-                assert np.abs(out.mat - expected).max() < 1e-12
-                for b, rec in enumerate(records):
+                assert np.abs(out - expected).max() < 1e-12
+                for b in range(cfg.n_baths):
                     h = embed(0.5 * cfg.omega * SIGMA_Z, [labels[b + 1]], reg)
                     q = np.trace(h @ (after - before)).real
-                    assert abs(rec.q_sa - q) < 1e-12
+                    assert abs(q_sa[b] - q) < 1e-12
                 rho = out
 
     def test_rejects_nonzero_delta(self):
-        with pytest.raises(InvalidParameter):
-            markovian_step(cfg_i(delta=0.3), sys_dm(np.eye(2) / 2))
+        with pytest.raises(InvalidParameter, match="delta = 0"):
+            markovian_channel(cfg_i(delta=0.3))
 
 
 class TestEmbeddedChannel:
@@ -320,7 +313,7 @@ class TestEmbeddedChannel:
             u = setting2_unitary(cfg, compound, "S", *mem).mat
         step = np.kron(u, np.eye(2 ** cfg.n_baths))
         for m, f in zip(mem, fresh):
-            step = intra_bath_unitary(cfg.delta, (m, f), ext).mat @ step
+            step = partial_swap(cfg.delta, (m, f), ext).mat @ step
         tau = kron(*(cfg.bath_state(b) for b in range(cfg.n_baths)))
         keep = ext.positions(["S"] + fresh)
         d = compound.dim
@@ -351,7 +344,7 @@ class TestEmbeddedChannel:
 
         ops = _step_ops(cfg)
         rng = np.random.default_rng(9)
-        for d in (2, ops.compound_dim):
+        for d in (2, ops.compound_register.dim):
             x, y = rng.normal(size=(2, 3, 2, d, d))
             stack = x + 1j * y
             out = ops.attach(stack)
@@ -365,7 +358,7 @@ class TestEmbeddedChannel:
         from collideq.engine import _step_ops
 
         ops = _step_ops(cfg)
-        v = np.random.default_rng(4).normal(size=(ops.compound_dim ** 2, 3)).astype(complex)
+        v = np.random.default_rng(4).normal(size=(ops.compound_register.dim ** 2, 3)).astype(complex)
         steps = list(ops.propagate(v, 4))
         assert len(steps) == 4
         for out in steps:
@@ -409,13 +402,14 @@ class TestEmbeddedChannel:
                 compound = kron(rho_s.mat, np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
             else:
                 compound = np.kron(rho_s.mat, mem)
-            rho_direct = rho_s
+            bare = markovian_channel(cfg)
+            rho_direct = rho_s.mat
             for _ in range(200):
                 compound = ch.apply(compound)
-                rho_direct, _ = markovian_step(cfg, rho_direct)
+                rho_direct = bare.apply(rho_direct)
             d = ch.dim // 2
             marg = np.einsum("ikjk->ij", compound.reshape(2, d, 2, d))
-            assert np.abs(marg - rho_direct.mat).max() < 1e-10
+            assert np.abs(marg - rho_direct).max() < 1e-10
 
     def test_setting1_thermal_product_is_fixed_point(self):
         for delta in (0.0, 0.4, 0.95 * HALF_PI):
@@ -737,7 +731,7 @@ class TestEvolve:
                 u = setting2_unitary(cfg, reg, "S", "M0", "M1").mat
             v = np.eye(reg.dim)
             for m, f in zip(mem, fresh):
-                v = v @ intra_bath_unitary(cfg.delta, (m, f), reg).mat
+                v = v @ partial_swap(cfg.delta, (m, f), reg).mat
             tau = kron(*(cfg.bath_state(b) for b in range(nb)))
             e_born = [0.5 * cfg.omega * (cfg.bath_state(b)[0, 0] - cfg.bath_state(b)[1, 1]).real
                       for b in range(nb)]
@@ -788,13 +782,13 @@ class TestEvolve:
         assert res.beta_e[0] < res.beta_e[-1]
         assert abs(res.beta_e[-1] - 2.0) < 1e-2
 
-    def test_heat_records_view(self):
+    def test_lifecycle_sums_the_three_collisions(self):
         cfg = cfg_ii(beta=1.0, dt=0.05, delta=0.5)
         res = evolve(cfg, sys_dm(projector(1)), 5)
-        recs = res.heat_records(3)
-        assert len(recs) == 2
-        assert recs[0].bath == 0
-        assert abs(recs[0].q_lifecycle - res.q_lifecycle[3, 0]) < 1e-15
+        assert res.q_lifecycle.shape == (5, 2)
+        # the intra terms are live at delta > 0, so the sum is not q_sa alone
+        assert np.abs(res.q_intra_in[1:]).min() > 0.0 and np.abs(res.q_intra_out).min() > 0.0
+        assert np.array_equal(res.q_lifecycle, res.q_intra_in + res.q_sa + res.q_intra_out)
 
 
 class TestStackedReadouts:
@@ -835,7 +829,7 @@ class TestStackedReadouts:
     def test_intermediate_step_failing_the_state_checks_raises(self, make_cfg):
         # a start smuggled past DensityMatrix's checks with population -1e-2:
         # the first steps' system states have a negative eigenvalue, but by
-        # step 50 the system and the final compound are positive again
+        # step 50 the system is positive again
         rho0 = sys_dm(projector(0))
         object.__setattr__(rho0, "mat", np.diag([1.01, -0.01]).astype(complex))
         with pytest.raises(ValueError, match="eigenvalue below"):
@@ -926,13 +920,11 @@ _PAIR_DM = DensityMatrix(QubitRegister(["S", "X"]), np.eye(4, dtype=complex) / 4
     (lambda: steady_heat_flux_from_state(cfg_ii(dt=0.1), gibbs_qubit(2.0, 1.0)),
      DimensionMismatch, "compound"),
     (lambda: evolve(cfg_i(), _PAIR_DM, 3), DimensionMismatch, r"\('S', 'X'\)"),
-    (lambda: markovian_step(cfg_ii(), _PAIR_DM), DimensionMismatch, r"\('S', 'X'\)"),
 ], ids=["evolve-zero-steps", "evolve-fractional-steps", "evolve-bool-steps",
         "heat-flux-third-bath", "heat-flux-bool-bath", "heat-flux-fractional-bath",
         "steady-flux-bool-bath", "steady-flux-fractional-bath", "steady-flux-bath-on-failing-cell",
         "setting1-bath-1",
-        "setting2-bath-2", "heat-flux-system-state", "evolve-two-qubit-state",
-        "markovian-step-two-qubit-state"])
+        "setting2-bath-2", "heat-flux-system-state", "evolve-two-qubit-state"])
 def test_input_checks_raise(call, error, match):
     with pytest.raises(error, match=match):
         call()

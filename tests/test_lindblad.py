@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from collideq.errors import DimensionMismatch, IntegrationUnstable, InvalidParameter, NotHermitian
-from collideq.lindblad import LindbladSpec, dissipator, integrate, thermal_qubit_spec
+from collideq.lindblad import (
+    LindbladSpec,
+    dissipator,
+    integrate,
+    liouvillian_matrix,
+    thermal_qubit_spec,
+)
 from collideq.metrics import gibbs_qubit, nbar
 from collideq.tensor import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, projector
 
@@ -52,6 +58,11 @@ class TestSpec:
         with pytest.raises(NotHermitian):
             LindbladSpec(h_sys=np.array([[0.0, 1.0], [0.0, 0.0]]), jumps=((SIGMA_MINUS, 1.0),))
 
+    def test_empty_spec_rejected(self):
+        # with no operator there is no dimension to read
+        with pytest.raises(InvalidParameter, match="h_sys or at least one jump"):
+            LindbladSpec(h_sys=None, jumps=())
+
     def test_mixed_dims_rejected(self):
         with pytest.raises(DimensionMismatch):
             LindbladSpec(h_sys=np.eye(4), jumps=((SIGMA_MINUS, 1.0),))
@@ -64,6 +75,29 @@ class TestSpec:
             rates[op.tobytes()] = rate
         assert abs(rates[SIGMA_MINUS.tobytes()] - 0.7 * (nb + 1)) < 1e-14
         assert abs(rates[SIGMA_PLUS.tobytes()] - 0.7 * nb) < 1e-14
+
+
+class TestLiouvillian:
+    @pytest.mark.parametrize("n_jumps", [1, 2, 3])
+    @pytest.mark.parametrize("with_h", [True, False], ids=["h_sys", "no-h_sys"])
+    def test_action_on_row_major_vec_matches_master_equation(self, with_h, n_jumps):
+        # -i[H, rho] + sum_k rate_k D[L_k] rho, with dissipator as the oracle
+        rng = np.random.default_rng(17 + n_jumps)
+        d = 3
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = a + a.conj().T if with_h else None
+        jumps = tuple((rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), rate)
+                      for rate in rng.uniform(0.1, 2.0, size=n_jumps))
+        gen = liouvillian_matrix(LindbladSpec(h_sys=h, jumps=jumps))
+        assert gen.shape == (d * d, d * d)
+        for _ in range(5):
+            x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rho = x @ x.conj().T
+            rho = rho / np.trace(rho).real
+            expected = sum(rate * dissipator(op, rho) for op, rate in jumps)
+            if with_h:
+                expected = expected - 1j * (h @ rho - rho @ h)
+            assert np.abs((gen @ rho.reshape(-1)).reshape(d, d) - expected).max() < 1e-12
 
 
 class TestIntegrate:
@@ -136,6 +170,27 @@ def test_nonpositive_step_rejected(t_final, h_step):
     name = "t_final" if 0 < h_step < math.inf else "h_step"
     with pytest.raises(InvalidParameter, match=name):
         integrate(spec, projector(0).astype(complex), t_final, h_step)
+
+
+@pytest.mark.parametrize("t_final, h_step", [(1.0, 0.3), (0.1, 0.3)],
+                         ids=["ends-short", "shorter-than-a-step"])
+def test_t_final_off_the_step_grid_rejected(t_final, h_step):
+    # rounding would end the run at 0.9, or at t = 0
+    spec = thermal_qubit_spec(omega=1.0, gamma=1.0, beta=2.0)
+    with pytest.raises(InvalidParameter, match=rf"t_final={t_final}.*h_step={h_step}"):
+        integrate(spec, projector(0), t_final, h_step)
+
+
+def test_t_final_a_float_multiple_of_the_step_accepted():
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point
+    times, states = integrate(thermal_qubit_spec(1.0, 1.0, 2.0), projector(0), 0.3, 0.1)
+    assert len(times) == len(states) == 4
+
+
+def test_wrong_size_start_rejected():
+    spec = thermal_qubit_spec(omega=1.0, gamma=1.0, beta=2.0)
+    with pytest.raises(DimensionMismatch, match="rho0"):
+        integrate(spec, np.eye(4) / 4, 1.0, 0.1)
 
 
 def test_zero_time_returns_initial_state():

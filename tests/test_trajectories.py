@@ -8,7 +8,6 @@ import pytest
 from collideq.engine import (
     ModelConfig,
     evolve,
-    intra_bath_unitary,
     partial_swap,
     setting2_unitary,
 )
@@ -251,7 +250,7 @@ def explicit_window_outcomes(cfg, rho0, n_steps, seeds):
                 births[k] = draw(table[n + 1, k, 0], p_exc[k])
                 fresh = f"M{k}@{n + 1}"
                 reg = QubitRegister([*rho.register.labels, fresh])
-                u = intra_bath_unitary(cfg.delta, (mems[k], fresh), reg).mat
+                u = partial_swap(cfg.delta, (mems[k], fresh), reg).mat
                 mat = u @ np.kron(rho.mat, projector(births[k])) @ u.conj().T
                 proj_exc = embed(projector(EXCITED), [mems[k]], reg)
                 p = np.trace(proj_exc @ mat).real
@@ -349,7 +348,7 @@ def sequential_joint_block(cfg, births, outs):
     for k, mem in enumerate(mems):
         ext = QubitRegister(["S", *mems, "F"])
         attach = np.kron(np.eye(reg.dim), ket(births[k]))
-        collide = intra_bath_unitary(cfg.delta, (mem, "F"), ext).mat
+        collide = partial_swap(cfg.delta, (mem, "F"), ext).mat
         measure = kron(*(ket(outs[k]).conj().T if label == mem else np.eye(2)
                              for label in ext.labels))
         # qubits left as (S, other memories, F); F takes memory k's slot
