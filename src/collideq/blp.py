@@ -12,9 +12,11 @@ hold their compound terms are propagated, each by its own product, and
 each entry is the plain sum of its terms. The other blocks never reach the
 readout. The steps run in chunks of ``_CHUNK_STEPS``: each step's products
 go into a buffer that holds the chunk, and the chunk is read out at once,
-one row per step. The readout is elementwise and the revival sum adds the
-steps one row at a time, in step order, so every bit is what a readout
-after each step gives. Trace distances below 1e-14, the propagation noise
+one row per step. The readout is elementwise, and the revival sums take a
+chunk's gains in one reduce over the step axis, which adds them row after
+row, in step order, so every bit is what a readout after each step gives.
+The best pair's ``series`` is a second pass over that pair alone, run when
+the series is first read. Trace distances below 1e-14, the propagation noise
 floor, are reported as zero; divisible (delta = 0) dynamics give values at
 that floor: zero, or ~1e-14 where a distance straddles it from step to step.
 """
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from functools import cached_property, partial
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -49,22 +52,28 @@ class BlpResult:
     ``value`` is the accumulated revival sum for the best pair, whose Bloch
     angles are ``argmax_pair``; ``series`` holds that pair's per-step trace
     distances starting from D_0 = 1, from a second pass that propagates
-    the best pair alone. That pass rounds apart from the grid pass behind
-    ``value``, so the two agree to about 1e-14, not bit for bit.
-    ``pair_values`` and
+    the best pair alone. That pass runs the first time ``series`` is read,
+    and the array is kept for later reads; ``series`` is not a dataclass
+    field, so ``dataclasses.fields`` and ``asdict`` do not list it. The pass
+    rounds apart from the grid pass behind ``value``, so the two agree to
+    about 1e-14, not bit for bit. ``pair_values`` and
     ``max_increment_per_pair`` cover the full grid (theta-major order).
     ``converged`` is False when the final distance still exceeds 1e-6.
     """
 
     value: float
     argmax_pair: Tuple[float, float]
-    series: np.ndarray
     converged: bool
     final_distance: float
     thetas: np.ndarray = field(repr=False)
     phis: np.ndarray = field(repr=False)
     pair_values: np.ndarray = field(repr=False)
     max_increment_per_pair: np.ndarray = field(repr=False)
+    _series_pass: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def series(self) -> np.ndarray:
+        return self._series_pass()
 
 
 def _bloch_grid(n_theta: int, n_phi: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -117,36 +126,52 @@ def _distance_series(steps, terms, cols: np.ndarray, n_steps: int) -> Iterator[n
     ``cols`` holds the read blocks' entries of vectorized difference
     operators, one column per pair; each block is stepped by its own product,
     one step at a time, into a buffer of ``_CHUNK_STEPS + 1`` states. Each
-    chunk is then read at once and yielded as a ``(k, pairs)`` array, one row
-    per step, ``k <= _CHUNK_STEPS``. The readout is elementwise, so its bits
-    do not depend on the chunk. ``cols`` itself is left as it is.
+    chunk is then read at once and yielded as a new ``(k, pairs)`` array, one
+    row per step, ``k <= _CHUNK_STEPS``. The readout is elementwise, so its
+    bits do not depend on the chunk. ``cols`` itself is left as it is.
     """
     buf = np.empty((_CHUNK_STEPS + 1, *cols.shape), dtype=cols.dtype)
     buf[0] = cols
+    # (block, source, destination) of each product of a full chunk, in order
+    products = [(block, buf[t, sl], buf[t + 1, sl])
+                for t in range(_CHUNK_STEPS) for sl, block in steps]
     (first00, *rest00), (first01, *rest01) = terms
     for start in range(0, n_steps, _CHUNK_STEPS):
         k = min(_CHUNK_STEPS, n_steps - start)
-        for t in range(k):
-            for sl, block in steps:
-                np.matmul(block, buf[t, sl], out=buf[t + 1, sl])
+        for block, src, dst in products[:k * len(steps)]:
+            np.matmul(block, src, out=dst)
         chunk = buf[1:k + 1]
         # the 0/1 readout row adds its terms in this order; a complex sum's
         # real part is the sum of the real parts, bit for bit
-        a = chunk[:, first00].real
+        a = chunk[:, first00].real.copy()
         for i in rest00:
-            a = a + chunk[:, i].real
-        b = chunk[:, first01]
+            a += chunk[:, i].real
+        b = chunk[:, first01].copy()
         for i in rest01:
-            b = b + chunk[:, i]
+            b += chunk[:, i]
         yield _distances(a, b)
         buf[0] = buf[k]
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Trace distances of 2x2 traceless Hermitian differences [[a, b], [b*, -a]]."""
-    d = np.sqrt(a * a + np.abs(b) ** 2)
+    """Trace distances of 2x2 traceless Hermitian differences [[a, b], [b*, -a]].
+
+    ``a`` is overwritten. The sum a*a + |b|^2 is formed in place as
+    |b|^2 + a*a, which rounds alike since one addition commutes.
+    """
+    d = np.abs(b)
+    d *= d
+    a *= a
+    d += a
+    np.sqrt(d, out=d)
     d[d < _DISTANCE_FLOOR] = 0.0
     return d
+
+
+def _series(steps, terms, col: np.ndarray, n_steps: int) -> np.ndarray:
+    """D_0 = 1, then the trace distance of the single column after each step."""
+    chunks = _distance_series(steps, terms, col, n_steps)
+    return np.concatenate([np.ones(1), *(d[:, 0] for d in chunks)])
 
 
 def blp_measure(cfg: ModelConfig, n_steps: Optional[int] = None,
@@ -181,37 +206,42 @@ def blp_measure(cfg: ModelConfig, n_steps: Optional[int] = None,
     n_pairs = n_theta * n_phi
     cols = core.attach(_pair_differences(thetas, phis)).reshape(n_pairs, -1).T[rows]
 
-    values = np.zeros(n_pairs)
+    # row 0 carries the last distance read and the revival sums; rows 1..k
+    # take a chunk's distances and its gains max(d_k - d_{k-1}, 0)
+    dist = np.empty((_CHUNK_STEPS + 1, n_pairs))
+    gains = np.empty_like(dist)
+    dist[0] = 1.0
+    gains[0] = 0.0
     max_inc = np.full(n_pairs, -np.inf)
-    d_prev = np.ones(n_pairs)
     for d in _distance_series(steps, terms, cols, n_steps):
-        inc = np.diff(d, axis=0, prepend=d_prev[None])
+        k = len(d)
+        dist[1:k + 1] = d
+        inc = np.subtract(dist[1:k + 1], dist[:k], out=gains[1:k + 1])
         np.maximum(max_inc, inc.max(axis=0), out=max_inc)
-        # one addition per step, in step order; a sum over steps would regroup them
-        for gain in np.where(inc > 0.0, inc, 0.0):
-            values += gain
-        d_prev = d[-1]
+        np.fmax(inc, 0.0, out=inc)  # like where(inc > 0, inc, 0): a NaN gains 0
+        # a reduce over the outer axis adds row after row: one addition per
+        # step, in step order, as a running sum does
+        np.add.reduce(gains[:k + 1], axis=0, out=gains[0])
+        dist[0] = dist[k]
+    values = gains[0].copy()
 
     best = int(np.argmax(values))  # first occurrence = lexicographic (theta, phi)
     theta_opt = float(thetas[best // n_phi])
     phi_opt = float(phis[best % n_phi])
 
-    # second pass: the best pair alone; it rounds apart from its column of
-    # the grid pass, so it matches that pass to ~1e-14, not bit for bit
-    chunks = _distance_series(steps, terms, cols[:, [best]], n_steps)
-    series = np.concatenate([np.ones(1), *(d[:, 0] for d in chunks)])
-
-    final_distance = float(d_prev[best])
+    final_distance = float(dist[0, best])
     return BlpResult(
         value=float(values[best]),
         argmax_pair=(theta_opt, phi_opt),
-        series=series,
         converged=final_distance < _CONVERGENCE_TOL,
         final_distance=final_distance,
         thetas=thetas,
         phis=phis,
         pair_values=values,
         max_increment_per_pair=max_inc,
+        # the best pair alone, on first read; it rounds apart from its column
+        # of the grid pass, so it matches that pass to ~1e-14, not bit for bit
+        _series_pass=partial(_series, steps, terms, cols[:, [best]], n_steps),
     )
 
 

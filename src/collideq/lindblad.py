@@ -112,8 +112,11 @@ def integrate(spec: LindbladSpec, rho0: np.ndarray, t_final: float,
         raise InvalidParameter(f"h_step must be positive and finite (got {h_step})")
     if not 0 <= t_final < math.inf:
         raise InvalidParameter(f"t_final must be finite and nonnegative (got {t_final})")
-    n_steps = round(t_final / h_step)
-    if abs(t_final / h_step - n_steps) > 1e-9 * max(n_steps, 1):
+    ratio = t_final / h_step
+    if not math.isfinite(ratio):  # a subnormal h_step overflows the division
+        raise InvalidParameter(f"t_final={t_final} / h_step={h_step} is not a finite step count")
+    n_steps = round(ratio)
+    if abs(ratio - n_steps) > 1e-9 * max(n_steps, 1):
         raise InvalidParameter(f"t_final={t_final} is not a multiple of h_step={h_step}")
     d = spec.dim
     rho = _as_matrix(rho0).astype(complex)

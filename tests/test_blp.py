@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from collideq import blp, cli
 from collideq.blp import (_CHUNK_STEPS, _bloch_grid, _distance_series, _pair_differences,
                           _readout_blocks, blp_measure, default_n_steps,
                           recompute_value_from_series)
@@ -273,3 +275,35 @@ def test_chunked_measure_matches_per_step_accumulation(setting, n_steps):
     assert np.array_equal(res.series, series)
     assert res.final_distance == d_prev[best]
     assert res.value == values[best]
+
+
+def count_series_passes(monkeypatch):
+    """Patch ``_distance_series`` to record the column count of each pass."""
+    passes = []
+
+    def counted(steps, terms, cols, n_steps, _real=blp._distance_series):
+        passes.append(cols.shape[1])
+        return _real(steps, terms, cols, n_steps)
+    monkeypatch.setattr(blp, "_distance_series", counted)
+    return passes
+
+
+def test_series_pass_runs_on_first_read(monkeypatch):
+    passes = count_series_passes(monkeypatch)
+    res = blp_measure(cfg("I", dt=0.1, delta=0.9 * HALF_PI), n_steps=30, grid=(8, 8))
+    assert "series" not in vars(res)
+    assert passes == [64]
+    series = res.series
+    assert passes == [64, 1]
+    assert res.series is series
+    assert len(series) == 31
+    assert passes == [64, 1]
+    assert "series" not in {f.name for f in dataclasses.fields(res)}
+
+
+def test_cli_blp_cell_propagates_once(tmp_path, monkeypatch):
+    # the CLI reads value, argmax_pair and converged, never the series
+    passes = count_series_passes(monkeypatch)
+    assert cli.main(["blp", "--setting", "I", "--beta", "2", "--dt", "0.1", "--delta", "0.5",
+                     "--steps", "200", "--out", str(tmp_path / "blp.csv")]) == 0
+    assert passes == [512]

@@ -181,6 +181,12 @@ def test_t_final_off_the_step_grid_rejected(t_final, h_step):
         integrate(spec, projector(0), t_final, h_step)
 
 
+def test_step_count_overflow_rejected():
+    # h_step passes the positive-and-finite check, but t_final / h_step is inf
+    with pytest.raises(InvalidParameter, match="not a finite step count"):
+        integrate(thermal_qubit_spec(1.0, 1.0, 2.0), np.eye(2) / 2, 1.0, 5e-324)
+
+
 def test_t_final_a_float_multiple_of_the_step_accepted():
     # 0.3 / 0.1 is 2.9999999999999996 in floating point
     times, states = integrate(thermal_qubit_spec(1.0, 1.0, 2.0), projector(0), 0.3, 0.1)
