@@ -243,9 +243,3 @@ def blp_measure(cfg: ModelConfig, n_steps: Optional[int] = None,
         # of the grid pass, so it matches that pass to ~1e-14, not bit for bit
         _series_pass=partial(_series, steps, terms, cols[:, [best]], n_steps),
     )
-
-
-def recompute_value_from_series(series: np.ndarray) -> float:
-    """Revival sum from a stored distance series (consistency helper)."""
-    inc = np.diff(series)
-    return float(inc[inc > 0.0].sum())

@@ -65,10 +65,6 @@ class FixedPointError(CollideqError):
     """
 
 
-class IntegrationUnstable(CollideqError):
-    """Trace drift of the master-equation integrator exceeded its bound."""
-
-
 class NumericalPositivityError(CollideqError):
     """A computed probability or state lost positivity beyond tolerance.
 

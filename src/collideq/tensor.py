@@ -27,10 +27,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-# Lowering takes excited (index 0) to ground (index 1).
-SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-
 # Two-qubit SWAP in the fixed product basis.
 SWAP_2 = np.array(
     [[1, 0, 0, 0],

@@ -23,7 +23,6 @@ from collideq.engine import (
     steady_heat_flux_from_state,
     steady_state,
 )
-from collideq.lindblad import integrate, thermal_qubit_spec
 from collideq.metrics import (
     effective_temperature,
     fidelity,
@@ -34,6 +33,7 @@ from collideq.metrics import (
 )
 from collideq.tensor import DensityMatrix, QubitRegister, partial_trace, projector
 from collideq.trajectories import ensemble_mean_heat
+from oracles import damped_qubit
 
 HALF_PI = math.pi / 2
 MASTER_SEED = 20260811
@@ -88,16 +88,13 @@ def test_c02_small_dt_slope():
 def test_c03_lindblad_limit_convergence():
     t0 = time.time()
     beta, gamma, t_final = 2.0, 1.0, 5.0
-    spec = thermal_qubit_spec(1.0, gamma, beta)
     errors = {}
     for dt in (1e-2, 5e-3):
         cfg = ModelConfig(beta=beta, dt=dt, gamma=gamma, setting="I")
         n = int(round(t_final / dt))
         res = evolve(cfg, EXCITED_DM, n)
-        h = 1e-3
-        _, oracle = integrate(spec, projector(0), t_final, h_step=h)
-        stride = int(round(dt / h))
-        oracle_pops = oracle[stride::stride, 0, 0].real[:n]
+        oracle = damped_qubit(beta, gamma, 1.0, projector(0), dt * np.arange(1, n + 1))
+        oracle_pops = oracle[:, 0, 0].real
         errors[dt] = np.abs(res.states[:, 0, 0].real - oracle_pops).max()
     ratio = errors[1e-2] / errors[5e-3]
     ok = errors[1e-2] < 2e-2 and 1.6 <= ratio <= 2.4

@@ -6,10 +6,10 @@ import pytest
 
 from collideq import blp, cli
 from collideq.blp import (_CHUNK_STEPS, _bloch_grid, _distance_series, _pair_differences,
-                          _readout_blocks, blp_measure, default_n_steps,
-                          recompute_value_from_series)
+                          _readout_blocks, blp_measure, default_n_steps)
 from collideq.engine import ModelConfig, _step_ops
 from collideq.errors import InvalidParameter
+from oracles import recompute_value_from_series
 
 HALF_PI = math.pi / 2
 

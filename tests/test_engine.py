@@ -25,7 +25,6 @@ from collideq.errors import (
     NotDiagonal,
     NumericalPositivityError,
 )
-from collideq.lindblad import integrate, thermal_qubit_spec
 from collideq.metrics import effective_temperature, fidelity, gibbs_qubit, nbar
 from collideq.tensor import (
     SIGMA_Z,
@@ -38,6 +37,7 @@ from collideq.tensor import (
     partial_trace,
     projector,
 )
+from oracles import damped_qubit
 
 HALF_PI = math.pi / 2
 
@@ -854,18 +854,20 @@ class TestStackedReadouts:
 
 
 class TestLindbladLimit:
-    def test_collision_population_converges_linearly_in_dt(self):
+    # both settings' populations tend to the damped-qubit master equation's as
+    # dt -> 0; their coherences do not (from a coherence of 0.2 - 0.1j they
+    # are off by about 0.35 at dt 1e-2 and 5e-3), so only populations are compared
+    @pytest.mark.parametrize("make_cfg", [cfg_i, cfg_ii], ids=["I", "II"])
+    def test_collision_population_converges_linearly_in_dt(self, make_cfg):
         beta, gamma = 2.0, 1.0
-        spec = thermal_qubit_spec(1.0, gamma, beta)
         t_final = 5.0
         errors = {}
         for dt in (1e-2, 5e-3):
-            cfg = cfg_i(beta=beta, dt=dt, gamma=gamma)
+            cfg = make_cfg(beta=beta, dt=dt, gamma=gamma)
             n = int(round(t_final / dt))
             res = evolve(cfg, sys_dm(projector(0)), n)
-            _, oracle = integrate(spec, projector(0), t_final, h_step=min(dt, 1e-3))
-            stride = int(round(dt / min(dt, 1e-3)))
-            oracle_pops = oracle[stride::stride, 0, 0].real[: n]
+            oracle = damped_qubit(beta, gamma, 1.0, projector(0), dt * np.arange(1, n + 1))
+            oracle_pops = oracle[:, 0, 0].real
             pops = res.states[:, 0, 0].real
             errors[dt] = np.abs(pops - oracle_pops).max()
         assert errors[1e-2] < 2e-2
