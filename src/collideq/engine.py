@@ -507,8 +507,9 @@ def evolve(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int) -> EvolutionRe
 
     Returns one row per collision at times t = n dt, including the per-bath
     heat bookkeeping of the unit retired at each step. The system states of
-    all steps are checked as density matrices (``NotHermitian`` or
-    ``ValueError`` on the first that fails) and read out as one stack.
+    all steps are checked as density matrices (``NotHermitian``, or
+    ``NumericalPositivityError`` for a trace, positivity or finiteness
+    failure, on the first that fails) and read out as one stack.
     """
     _check_count("n_steps", n_steps)
     rho0 = _system_matrix(rho0_s)
@@ -527,7 +528,10 @@ def evolve(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int) -> EvolutionRe
     q_sa, q_intra_out, next_q_in = ops.heats(reads[:-1])
     # the first memory is a fresh unit: no predecessor
     q_intra_in = np.vstack([np.zeros((1, cfg.n_baths)), next_q_in[:-1]])
-    _check_density_stack(states)
+    try:
+        _check_density_stack(states)
+    except ValueError as err:  # a computed state, not an input: flags the cell
+        raise NumericalPositivityError(str(err)) from err
     fid = _fidelities(states, target.mat)
     _, beta_e, _ = _effective_betas(states, cfg.omega)
 

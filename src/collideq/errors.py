@@ -68,7 +68,8 @@ class FixedPointError(CollideqError):
 class NumericalPositivityError(CollideqError):
     """A computed probability or state lost positivity beyond tolerance.
 
-    Raised when Born probabilities fall outside [0, 1], or when a computed
+    Raised when Born probabilities fall outside [0, 1], when a computed
     density matrix (such as a steady state) has an eigenvalue below the
-    structural tolerance.
+    structural tolerance, or when a system state computed by ``evolve``
+    fails its trace, positivity or finiteness check.
     """

@@ -27,7 +27,8 @@ and sum is per trajectory, so a trajectory rounds the same at every batch
 size.
 
 Randomness is counter-based: trajectory k of an ensemble draws from a Philox
-stream keyed by a seed derived from (master_seed, k), and every variate has a
+stream keyed by a seed derived from (master_seed, k) by numpy's SeedSequence
+algorithm, run for a whole chunk of indices at once, and every variate has a
 fixed (step, bath, purpose) slot in a pregenerated table, so adding
 diagnostics can never shift the sample sequence.
 """
@@ -53,10 +54,105 @@ _SLOT_MEASURE = 1
 _SLOT_EIGEN = 1
 
 
+# numpy's SeedSequence (M. E. O'Neill's seed_seq design): pool of four
+# 32-bit words, hash constants and multipliers of its mixing and output stages
+_POOL_SIZE = 4
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list:
+    """32-bit words of a non-negative integer, least significant first (0 gives [0])."""
+    out = [n & _MASK32]
+    while n := n >> 32:
+        out.append(n & _MASK32)
+    return out
+
+
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix of a word or a uint32 array; returns (hash, next constant)."""
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ value >> _XSHIFT, hash_const
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> _XSHIFT
+
+
+def _mix_in(pool: list, words, hash_const: int) -> int:
+    """Mix entropy words past the pool's size into every pool word, in place."""
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            h, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], h)
+    return hash_const
+
+
+def _index_words(start: int, stop: int, n_words: int) -> list:
+    """Word rows, least significant first, of indices [start, stop) that have n_words words."""
+    if n_words > 2:  # past uint64: only a lone seed of a huge index gets here
+        return list(np.array([_words(k) for k in range(start, stop)], np.uint32).T)
+    k = np.arange(start, stop, dtype=np.uint64)
+    return [(k >> 32 * i & _MASK32).astype(np.uint32) for i in range(n_words)]
+
+
+def _trajectory_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """``trajectory_seed(master_seed, k)`` for every k in [start, stop), as uint64.
+
+    SeedSequence's entropy mixing and output stage run over the whole index
+    range at once, as uint32 arrays. The entropy is the master's words
+    zero-padded to the pool size, then the index's words; everything before
+    the index's words is the same for every k and is mixed once, as ints.
+    """
+    entropy = _words(int(master_seed))
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    hash_const, pool = _INIT_A, []
+    for word in entropy[:_POOL_SIZE]:
+        h, hash_const = _hashmix(word, hash_const)
+        pool.append(h)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                h, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], h)
+    hash_const = _mix_in(pool, entropy[_POOL_SIZE:], hash_const)
+    pool = list(np.array(pool, np.uint32)[:, None])  # broadcast over the indices
+
+    seeds = np.empty(stop - start, np.uint64)
+    lo = start
+    while lo < stop:  # one pass per index word count
+        n_words = len(_words(lo))
+        hi = min(stop, 1 << 32 * n_words)
+        mixed = pool.copy()
+        _mix_in(mixed, _index_words(lo, hi, n_words), hash_const)
+        # the output stage: a uint64 is the first two pool words, low word first
+        low, out_const = _hashmix(mixed[0], _INIT_B, _MULT_B)
+        high, _ = _hashmix(mixed[1], out_const, _MULT_B)
+        seeds[lo - start:hi - start] = low.astype(np.uint64) | high.astype(np.uint64) << 32
+        lo = hi
+    return seeds
+
+
+def _check_nonnegative(name: str, value) -> None:
+    if not (_is_integer(value) and value >= 0):
+        raise InvalidParameter(f"{name} must be a non-negative integer (got {value!r})")
+
+
 def trajectory_seed(master_seed: int, index: int) -> int:
-    """Deterministic, order-independent per-trajectory seed."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Deterministic, order-independent per-trajectory seed.
+
+    Equal to ``np.random.SeedSequence(entropy=master_seed,
+    spawn_key=(index,)).generate_state(1, np.uint64)[0]``.
+    """
+    _check_nonnegative("master_seed", master_seed)
+    _check_nonnegative("index", index)
+    return int(_trajectory_seeds(master_seed, index, index + 1)[0])
 
 
 def _uniform_tables(seeds, n_steps: int, n_baths: int) -> np.ndarray:
@@ -73,10 +169,11 @@ def _uniform_tables(seeds, n_steps: int, n_baths: int) -> np.ndarray:
     # Generator(Philox(key=seed)), without building one per trajectory
     bits = np.random.Philox(key=0)
     gen, fresh = np.random.Generator(bits), bits.state  # zero counter, empty buffer
+    key = fresh["state"]["key"]
     for i, seed in enumerate(seeds):
-        fresh["state"]["key"] = np.array(divmod(int(seed), 1 << 64)[::-1], np.uint64)
+        key[1], key[0] = divmod(int(seed), 1 << 64)
         bits.state = fresh
-        out[i] = gen.random((n_steps + 1, n_baths, 2))
+        gen.random(out=out[i])
     return out
 
 
@@ -193,8 +290,7 @@ def ensemble_mean_heat(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int,
     """
     _check_count("n_steps", n_steps)
     _check_count("n_trajectories", n_trajectories)
-    if not (_is_integer(master_seed) and master_seed >= 0):
-        raise InvalidParameter(f"master_seed must be a non-negative integer (got {master_seed!r})")
+    _check_nonnegative("master_seed", master_seed)
     rho0 = _system_matrix(rho0_s)
     nb = cfg.n_baths
     sum_h = np.zeros((n_steps, nb))
@@ -205,7 +301,7 @@ def ensemble_mean_heat(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int,
     m = n_trajectories
     for start in range(0, m, _CHUNK):
         stop = min(start + _CHUNK, m)
-        seeds = [trajectory_seed(master_seed, k) for k in range(start, stop)]
+        seeds = _trajectory_seeds(master_seed, start, stop)
         _, heats, finals = _run_batch(cfg, rho0, n_steps, seeds)
         sum_h += heats.sum(axis=0)
         sum_h2 += (heats * heats).sum(axis=0)

@@ -13,7 +13,7 @@ from collideq import cli
 from collideq.cli import Resolved, build_parser, main, read_config_file
 from collideq.engine import StepChannel, steady_state
 from collideq.errors import NonUniqueSteadyState, NotHermitian, NumericalPositivityError
-from collideq.tensor import QubitRegister
+from collideq.tensor import DensityMatrix, QubitRegister
 
 HALF_PI = math.pi / 2
 
@@ -180,6 +180,35 @@ class TestFailedCell:
         _, columns, rows = read_rows(out)
         failed, *others = rows
         assert failed == {**dict.fromkeys(columns, "nan"), **identity, "status": status}
+        assert len(others) == n_other
+        assert all(r["status"] == "ok" and "nan" not in r.values() for r in others)
+
+    @pytest.mark.parametrize("args, n_other", [
+        (["dynamics", "--setting", "I", "--beta", "2", "--dt-grid", "0.001:0.2:2",
+          "--steps", "3"], 3),
+        (["trajectories", "--setting", "II", "--beta", "1", "--dt", "0.001", "--delta", "0.5",
+          "--steps", "2", "--traj", "4"], 0),
+    ], ids=["dynamics", "trajectories"])
+    def test_evolved_state_failing_its_checks_flags_its_cell(self, tmp_path, monkeypatch,
+                                                              args, n_other):
+        # the first cell's start is smuggled past DensityMatrix's checks with
+        # population -1e-2, so evolve's own state check fails on a computed state
+        real, calls = cli.evolve, []
+
+        def evolve(cfg, rho0, n_steps):
+            calls.append(cfg)
+            if len(calls) == 1:
+                rho0 = DensityMatrix(rho0.register, rho0.mat)
+                object.__setattr__(rho0, "mat", np.diag([1.01, -0.01]).astype(complex))
+            return real(cfg, rho0, n_steps)
+
+        monkeypatch.setattr(cli, "evolve", evolve)
+        out = tmp_path / "o.csv"
+        code = run_cli(args + ["--out", str(out)])
+        assert code == 1
+        _, _, rows = read_rows(out)
+        failed, *others = rows
+        assert failed["status"] == "nonpositive"
         assert len(others) == n_other
         assert all(r["status"] == "ok" and "nan" not in r.values() for r in others)
 

@@ -832,7 +832,7 @@ class TestStackedReadouts:
         # step 50 the system is positive again
         rho0 = sys_dm(projector(0))
         object.__setattr__(rho0, "mat", np.diag([1.01, -0.01]).astype(complex))
-        with pytest.raises(ValueError, match="eigenvalue below"):
+        with pytest.raises(NumericalPositivityError, match="eigenvalue below"):
             evolve(make_cfg(dt=0.001, delta=0.5 * HALF_PI), rho0, 50)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the steps
@@ -843,7 +843,7 @@ class TestStackedReadouts:
         # is non-finite and the stacked check rejects the first
         rho0 = sys_dm(projector(0))
         object.__setattr__(rho0, "mat", np.array([[0.5, value], [value, 0.5]], dtype=complex))
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(NumericalPositivityError, match="non-finite"):
             evolve(make_cfg(delta=0.5 * HALF_PI), rho0, 10)
 
     @pytest.mark.parametrize("make_cfg", [cfg_i, cfg_ii], ids=["I", "II"])

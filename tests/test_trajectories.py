@@ -27,6 +27,7 @@ from collideq.trajectories import (
     TrajectoryRecord,
     _check_probs,
     _run_batch,
+    _trajectory_seeds,
     _uniform_tables,
     ensemble_mean_heat,
     run_trajectory,
@@ -327,6 +328,29 @@ def test_uniform_tables_equal_fresh_philox_generators(n_steps, n_baths):
         assert np.array_equal(table, gen.random((n_steps + 1, n_baths, 2)))
 
 
+# master seeds: small ones, the benchmark's seed * 100000 + run index, and
+# masters of one, two, three and five 32-bit words
+SEED_MASTERS = [*range(10), *(s * 100_000 + i for s in (1, 3) for i in (0, 1, 39)),
+                2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 128 + 7]
+
+
+def seed_sequence_seed(master, index):
+    sequence = np.random.SeedSequence(entropy=master, spawn_key=(index,))
+    return sequence.generate_state(1, np.uint64)[0]
+
+
+@pytest.mark.parametrize("master", SEED_MASTERS)
+def test_trajectory_seeds_equal_seed_sequence(master):
+    # index ranges across the one-to-two-word edge and across a chunk edge
+    for start, stop in [(0, 2048), (2 ** 32 - 2, 2 ** 32 + 2), (8191, 8194)]:
+        seeds = _trajectory_seeds(master, start, stop)
+        expected = [seed_sequence_seed(master, k) for k in range(start, stop)]
+        assert seeds.dtype == np.uint64 and np.array_equal(seeds, expected)
+    # the one-index case, also past uint64
+    for k in (0, 2 ** 32, 2 ** 64 + 1):
+        assert trajectory_seed(master, k) == int(seed_sequence_seed(master, k))
+
+
 def ket(index):
     return np.eye(2, dtype=complex)[:, [index]]
 
@@ -427,10 +451,17 @@ _PAIR_DM = DensityMatrix(QubitRegister(["S", "X"]), np.eye(4, dtype=complex) / 4
      InvalidParameter, "n_steps"),
     (lambda: ensemble_mean_heat(cfg_ii(), _PAIR_DM, 5, 4, master_seed=1), DimensionMismatch,
      r"\('S', 'X'\)"),
+    (lambda: trajectory_seed(-1, 0), InvalidParameter, "master_seed"),
+    (lambda: trajectory_seed(True, 0), InvalidParameter, "master_seed"),
+    (lambda: trajectory_seed(1.0, 0), InvalidParameter, "master_seed"),
+    (lambda: trajectory_seed(1, -1), InvalidParameter, "index"),
+    (lambda: trajectory_seed(1, True), InvalidParameter, "index"),
+    (lambda: trajectory_seed(1, 2.0), InvalidParameter, "index"),
 ], ids=["steps-fractional", "steps-bool",
         "trajectory-two-qubit-state", "master-seed-fractional", "master-seed-negative",
         "master-seed-bool", "trajectories-fractional", "ensemble-steps-fractional",
-        "ensemble-two-qubit-state"])
+        "ensemble-two-qubit-state", "seed-master-negative", "seed-master-bool",
+        "seed-master-float", "seed-index-negative", "seed-index-bool", "seed-index-float"])
 def test_input_checks_raise(call, error, match):
     with pytest.raises(error, match=match):
         call()
