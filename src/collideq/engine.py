@@ -232,7 +232,12 @@ class _StepOps:
 
     Every fresh state is diagonal, so the channel is
     ``sum_c p_c sum_o K_{c,o} x conj(K_{c,o})`` with ``p_c`` the diagonal of
-    ``fresh_state``. ``superop`` is that channel on the row-major
+    ``fresh_state``. The sum runs over the births with ``p_c > 0`` only:
+    setting II's fresh units are pure, so one birth combination of four
+    has weight, and setting I's has one of two at beta = inf. A term of
+    weight exactly 0 adds nothing, so this is the sum over all births bit
+    for bit; ``joint`` keeps every birth, since a trajectory indexes it by
+    the birth it samples. ``superop`` is that channel on the row-major
     vec(compound), and ``readout`` holds rows on the same vector. Rows 0-3
     give the system marginal (entries 00, 01, 10, 11). Each bath then has
     three heat rows, one operator each on the pre-step compound: ``q_sa =
@@ -252,9 +257,11 @@ class _StepOps:
         self.joint = (memories @ u).reshape(len(memories), -1, d)
         self.p_exc = pops[:, 0]
 
-        # every fresh state is diagonal: the step is sum_c p_c sum_o K_co x conj(K_co)
+        # every fresh state is diagonal: the step is sum_c p_c sum_o K_co x conj(K_co),
+        # summed over the births c with p_c > 0 only
         p = self.fresh_state.diagonal().real
-        k = self.joint.reshape(len(p), -1, d, d)
+        born = np.flatnonzero(p)
+        p, k = p[born], self.joint.reshape(len(p), -1, d, d)[born]
         self.superop = np.einsum("coai,cobj->ijab", p[:, None, None, None] * k,
                                  k.conj()).reshape(d * d, d * d).T
 
@@ -422,7 +429,7 @@ def steady_state(channel: StepChannel) -> DensityMatrix:
     on_diagonal[::d + 1] = True
     moduli, trace_block, trace_moduli = [], [], []
     for block in connected_blocks(superop != 0):
-        m = np.abs(np.linalg.eigvals(superop[np.ix_(block, block)]))
+        m = np.abs(np.linalg.eigvals(superop[block[:, None], block]))
         moduli.append(m)
         if on_diagonal[block].any():
             trace_block.append(block)
@@ -434,7 +441,7 @@ def steady_state(channel: StepChannel) -> DensityMatrix:
     if not np.any(np.concatenate(trace_moduli) > 1.0 - _PERIPHERAL_TOL):
         raise NonUniqueSteadyState(2)  # the fixed point is traceless
     block = np.sort(np.concatenate(trace_block))
-    sub = superop[np.ix_(block, block)]
+    sub = superop[block[:, None], block]
     trace_vec = on_diagonal[block].astype(complex)
     bordered = sub - np.eye(len(block))
     bordered[0] = trace_vec

@@ -34,6 +34,36 @@ def damped_qubit(beta, gamma, omega, rho0, times, hamiltonian=False):
     return out
 
 
+def all_births_step(cfg):
+    """``(superop, readout)`` of ``cfg``'s step summed over every birth combination.
+
+    The engine's sum keeps only the births with ``p_c > 0``. This reference
+    keeps the zero-weight ones too: the same ``einsum`` for ``sum_c p_c
+    sum_o K_co x conj(K_co)`` and the same effects ``E_o = sum_c p_c
+    K_co^dag K_co``, over the core's own cached pieces (collision, fresh
+    state, lifted intra Kraus stack, readout operators). A term of weight
+    exactly 0 adds nothing, so the two agree bit for bit.
+    """
+    from collideq.engine import _bath_pieces, _collision, _readout_pieces
+
+    u = _collision(cfg.setting, cfg.beta, cfg.dt, cfg.omega, cfg.gamma)
+    fresh, memories, pops = _bath_pieces(cfg.setting, cfg.beta, cfg.omega, cfg.delta)
+    d = len(u)
+    p = fresh.diagonal().real
+    k = (memories @ u).reshape(len(p), -1, d, d)
+    superop = np.einsum("coai,cobj->ijab", p[:, None, None, None] * k,
+                        k.conj()).reshape(d * d, d * d).T
+    effects = np.tensordot(p, k.conj().swapaxes(-1, -2) @ k, 1)
+    system_rows, energies = _readout_pieces(cfg.n_baths, cfg.omega)
+    rows = list(system_rows)
+    for (h_m, e_m), e_fresh in zip(energies, 0.5 * cfg.omega * (pops[:, 0] - pops[:, 1])):
+        h_mid = u.conj().T @ h_m @ u
+        rows += [(h_mid - h_m).T.reshape(-1),
+                 (np.tensordot(e_m, effects, 1) - h_mid).T.reshape(-1),
+                 h_m.T.reshape(-1) @ superop - e_fresh * np.eye(d).reshape(-1)]
+    return superop, np.array(rows, dtype=complex)
+
+
 def recompute_value_from_series(series):
     """Revival sum from a stored distance series (consistency helper)."""
     inc = np.diff(series)

@@ -25,7 +25,13 @@ from collideq.errors import (
     NotDiagonal,
     NumericalPositivityError,
 )
-from collideq.metrics import effective_temperature, fidelity, gibbs_qubit, nbar
+from collideq.metrics import (
+    effective_temperature,
+    fidelity,
+    gibbs_qubit,
+    nbar,
+    tripartite_negativity,
+)
 from collideq.tensor import (
     SIGMA_Z,
     SWAP_2,
@@ -37,7 +43,7 @@ from collideq.tensor import (
     partial_trace,
     projector,
 )
-from oracles import damped_qubit
+from oracles import all_births_step, damped_qubit
 
 HALF_PI = math.pi / 2
 
@@ -419,6 +425,25 @@ class TestEmbeddedChannel:
             prod = np.kron(g, g)
             assert np.abs(ch.apply(prod) - prod).max() < 1e-12
 
+    @pytest.mark.parametrize("setting", ["I", "II"])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 40.0, math.inf])
+    @pytest.mark.parametrize("dt", [1e-3, 1e-2, 0.1, 0.5])
+    @pytest.mark.parametrize("delta", [0.0, 0.3, 0.6, 0.95 * HALF_PI])
+    def test_births_with_weight_match_all_births_bit_for_bit(self, setting, beta, dt, delta):
+        # dropping the births of weight exactly 0 leaves every sum, and the
+        # sign of every zero, as the sum over all births has them
+        from collideq.engine import _step_ops
+
+        cfg = ModelConfig(beta=beta, dt=dt, delta=delta, setting=setting)
+        ops = _step_ops(cfg)
+        weighted = np.count_nonzero(ops.fresh_state.diagonal())
+        # setting II's fresh units are pure; setting I's are Gibbs, pure only at beta = inf
+        assert weighted == (2 if setting == "I" and beta < math.inf else 1)
+        for got, ref in zip((ops.superop, ops.readout), all_births_step(cfg)):
+            assert np.array_equal(got, ref)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
+
 
 class TestSteadyState:
     def test_setting1_homogenizes_for_all_parameters(self):
@@ -441,6 +466,21 @@ class TestSteadyState:
         est = effective_temperature(DensityMatrix(QubitRegister(["S"]), marg), 1.0)
         g = 1 / (2 * nb + 1)
         assert abs((est.g_e - g) / dt - coef) / coef < 0.01
+
+    def test_setting2_corner_n3_scales_as_dt_delta_squared(self):
+        # near the (dt, delta) = (0, 0) corner the steady state's tripartite
+        # negativity goes as N3 ~ 2.8 dt x^2 with x = delta / (pi/2): the
+        # ratio stays in one band, rises as dt falls at x = 0.1 (2.55, 2.79,
+        # 2.83), and N3 is exactly 0 without intra-bath collisions
+        def n3(dt, x):
+            cfg = cfg_ii(beta=2.0, dt=dt, delta=x * HALF_PI)
+            return tripartite_negativity(steady_state(embedded_step_channel(cfg)))
+
+        ratios = {(dt, x): n3(dt, x) / (dt * x * x)
+                  for dt in (1e-1, 1e-2, 1e-3) for x in (0.025, 0.05, 0.1, 0.2)}
+        assert all(2.3 <= r <= 3.1 for r in ratios.values()), ratios
+        assert ratios[1e-1, 0.1] < ratios[1e-2, 0.1] < ratios[1e-3, 0.1]
+        assert n3(1e-3, 0.0) == 0.0
 
     def test_identity_channel_degenerate(self):
         ch = StepChannel(QubitRegister(["S"]), np.eye(4, dtype=complex))
