@@ -90,10 +90,17 @@ def _fmt(x) -> str:
     return f"{x:.12g}" if isinstance(x, float) else str(x)  # NaN of either sign prints nan
 
 
+def _column(value, n_rows: int) -> List[str]:
+    """A block's column as CSV fields: an array's entries, or a scalar once, ``n_rows`` times."""
+    if isinstance(value, np.ndarray):
+        return list(map(_fmt, value.tolist()))
+    return [_fmt(value)] * n_rows
+
+
 def write_csv(path: str, command: str, config: Dict, columns: Sequence[str],
-              rows: Iterable[Sequence]) -> None:
+              rows: Iterable[Sequence[str]]) -> None:
     lines = [f"# collideq {command}", *(f"# {key}={config[key]}" for key in sorted(config)),
-             ",".join(columns), *(",".join(_fmt(x) for x in row) for row in rows)]
+             ",".join(columns), *map(",".join, rows)]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -151,9 +158,9 @@ def _config(res: Resolved, cell: _Cell) -> ModelConfig:
 _NEGATIVITY_COLUMNS = ("n3", "n2_s_m0", "n2_s_m1", "n2_m0_m1")
 
 
-def _steady_rows(res: Resolved, cell: _Cell) -> List[Dict]:
+def _steady_rows(res: Resolved, cell: _Cell) -> Dict:
     if cell.r is not None and not 0.0 <= cell.delta < HALF_PI:
-        return [{"status": "delta-out-of-range"}]
+        return {"status": "delta-out-of-range"}
     cfg, columns = _config(res, cell), res.spec.columns
     rho_star = steady_state(embedded_step_channel(cfg))
     out = {}  # only what the command prints
@@ -168,46 +175,45 @@ def _steady_rows(res: Resolved, cell: _Cell) -> List[Dict]:
         pairs = pair_negativities(rho_star)
         out.update(n3=tripartite_negativity(rho_star), n2_s_m0=pairs[("S", "M0")],
                    n2_s_m1=pairs[("S", "M1")], n2_m0_m1=pairs[("M0", "M1")])
-    return [out]
+    return out
 
 
-def _dynamics_rows(res: Resolved, cell: _Cell) -> List[Dict]:
+def _dynamics_rows(res: Resolved, cell: _Cell) -> Dict:
     n_steps = res.steps or max(1, int(math.ceil((res.t_final or 8.0) / cell.dt)))
     result = evolve(_config(res, cell), res.rho0("excited"), n_steps)
-    readouts = zip(result.times, 1.0 - result.fidelity_to_gibbs, result.beta_e)
-    return [{"step": k, "t": t, "one_minus_f": one_minus_f, "beta_e": beta_e}
-            for k, (t, one_minus_f, beta_e) in enumerate(readouts, 1)]
+    return {"step": np.arange(1, n_steps + 1), "t": result.times,
+            "one_minus_f": 1.0 - result.fidelity_to_gibbs, "beta_e": result.beta_e}
 
 
-def _blp_rows(res: Resolved, cell: _Cell) -> List[Dict]:
+def _blp_rows(res: Resolved, cell: _Cell) -> Dict:
     out = blp_measure(_config(res, cell), n_steps=res.steps)
     theta, phi = out.argmax_pair
-    return [{"blp_value": out.value, "theta_opt": theta, "phi_opt": phi,
-             "status": "ok" if out.converged else "unconverged"}]
+    return {"blp_value": out.value, "theta_opt": theta, "phi_opt": phi,
+            "status": "ok" if out.converged else "unconverged"}
 
 
-def _trajectory_rows(res: Resolved, cell: _Cell) -> List[Dict]:
+def _trajectory_rows(res: Resolved, cell: _Cell) -> Dict:
     n_steps = res.steps or 100
     cfg, rho0 = _config(res, cell), res.rho0("ground")
     oracle = evolve(cfg, rho0, n_steps).q_lifecycle[:, 0]
-    rows = []
-    for m in res.traj_list or [1000]:
-        stats = ensemble_mean_heat(cfg, rho0, n_steps, m, master_seed=res.seed)
-        rows += ({"m": m, "step": k, "t": k * cell.dt, "mean_stoch_heat": mean,
-                  "std_error": err, "unconditional_heat": heat} for k, (mean, err, heat)
-                 in enumerate(zip(stats.mean_heat[:, 0], stats.std_error[:, 0], oracle), 1))
-    return rows
+    ms = res.traj_list or [1000]
+    stats = [ensemble_mean_heat(cfg, rho0, n_steps, m, master_seed=res.seed) for m in ms]
+    step = np.tile(np.arange(1, n_steps + 1), len(ms))
+    return {"m": np.repeat(ms, n_steps), "step": step, "t": step * cell.dt,
+            "mean_stoch_heat": np.concatenate([s.mean_heat[:, 0] for s in stats]),
+            "std_error": np.concatenate([s.std_error[:, 0] for s in stats]),
+            "unconditional_heat": np.tile(oracle, len(ms))}
 
 
 @dataclass(frozen=True)
 class _Command:
-    """One command: its CSV columns, the rows of one grid cell (records keyed
-    by column; ``main`` adds the cell's own columns, and nan for any other a
-    record lacks), the dt and delta axes it runs when none is given, and the
-    settings it runs when given both or none."""
+    """One command: its CSV columns, the rows of one grid cell (one block:
+    column -> scalar or 1-D array; ``main`` adds the cell's own columns, and
+    nan for any other the block lacks), the dt and delta axes it runs when
+    none is given, and the settings it runs when given both or none."""
 
     columns: Tuple[str, ...]
-    rows: Callable[[Resolved, _Cell], List[Dict]]
+    rows: Callable[[Resolved, _Cell], Dict]
     dts: Tuple[float, ...] = (0.1,)
     deltas: Tuple[float, ...] = (0.0,)
     settings: Tuple[str, ...] = ("I", "II")
@@ -294,19 +300,40 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, adding its options when it first parses or formats usage or help."""
+
+    _pending: Optional[str] = None  # the command whose options are not added yet
+
+    def _build(self) -> None:
+        if self._pending:
+            command, self._pending = self._pending, None
+            for name, opt in _OPTIONS.items():
+                if opt.flag:  # a flag the command does not read parses, is hidden and is rejected
+                    self.add_argument(_flag(name), dest=name, choices=opt.choices, help=opt.help
+                                      if command in opt.commands else argparse.SUPPRESS)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._build()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self) -> str:
+        self._build()
+        return super().format_usage()
+
+    def format_help(self) -> str:
+        self._build()
+        return super().format_help()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collideq",
         description="multi-bath collision model experiments (CSV output)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for command in _COMMANDS:
-        p = sub.add_parser(command)
-        for name, opt in _OPTIONS.items():
-            if opt.flag:
-                # a flag the command does not read parses, is hidden and is rejected
-                p.add_argument(_flag(name), dest=name, choices=opt.choices,
-                               help=opt.help if command in opt.commands else argparse.SUPPRESS)
+        sub.add_parser(command)._pending = command
     return parser
 
 
@@ -467,12 +494,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         columns = res.spec.columns
         for cell in res.cells():
             try:
-                records = res.spec.rows(res, cell)
+                block = res.spec.rows(res, cell)
             except tuple(_FAILED) as err:  # flags this cell alone; other errors end the run
                 status = next(s for cls, s in _FAILED.items() if isinstance(err, cls))
-                records = [{"status": status.format_map(vars(err))}]
-            base = {"status": "ok", **cell.fields()}
-            rows += ([rec.get(c, base.get(c, math.nan)) for c in columns] for rec in records)
+                block = {"status": status.format_map(vars(err))}
+            n = next((len(v) for v in block.values() if isinstance(v, np.ndarray)), 1)
+            fields = {"status": "ok", **cell.fields(), **block}
+            rows += zip(*(_column(fields.get(c, math.nan), n) for c in columns), strict=True)
         write_csv(res.out, res.command, res.echo(), columns, rows)
     except (CollideqError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,6 +58,7 @@ SETTING_II = "II"
 
 _PERIPHERAL_TOL = 1e-9      # unit-circle degeneracy threshold
 _FIXED_POINT_TOL = 1e-12    # residual bound for the returned fixed point
+_EVOLVE_CHUNK = 128         # compounds ``evolve`` steps into one buffer before reading them
 _MAX_DOUBLINGS = 60         # power iteration squarings: up to 2^60 channel applications
 
 _HEISENBERG_2 = -(0.5) * (
@@ -284,12 +285,6 @@ class _StepOps:
     def attach(self, mats: np.ndarray) -> np.ndarray:
         """Compounds ``kron(m, fresh_state)``: fresh memories for each matrix ``m`` of a stack."""
         return np.kron(mats, self.fresh_state)
-
-    def propagate(self, v: np.ndarray, n_steps: int) -> Iterator[np.ndarray]:
-        """Yield ``superop @ v`` after each of ``n_steps`` steps (``v``: vec or column block)."""
-        for _ in range(n_steps):
-            v = self.superop @ v
-            yield v
 
     def heats(self, reads: np.ndarray):
         """(q_sa, q_intra_out, q_intra_in) per bath from readouts of pre-step compounds.
@@ -523,12 +518,19 @@ def evolve(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int) -> EvolutionRe
     ops = _step_ops(cfg)
     target = gibbs_qubit(cfg.beta, cfg.omega)
 
-    # readouts of the compound before every step and after the last one
-    v = ops.attach(rho0).reshape(-1)
+    # readouts of the compound before every step and after the last one; a
+    # chunk's steps fill one buffer that one stacked product reads, bit for
+    # bit the per-step superop @ v and readout @ v
+    buf = np.empty((min(n_steps, _EVOLVE_CHUNK) + 1, ops.superop.shape[0]), dtype=complex)
+    v = buf[0] = ops.attach(rho0).reshape(-1)
     reads = np.empty((n_steps + 1, ops.readout.shape[0]), dtype=complex)
     reads[0] = ops.readout @ v
-    for n, v in enumerate(ops.propagate(v, n_steps), 1):
-        reads[n] = ops.readout @ v
+    for start in range(0, n_steps, _EVOLVE_CHUNK):
+        m = min(_EVOLVE_CHUNK, n_steps - start)
+        for k in range(m):
+            np.matmul(ops.superop, buf[k], out=buf[k + 1])
+        reads[start + 1:start + m + 1] = np.matmul(ops.readout, buf[1:m + 1, :, None])[..., 0]
+        buf[0] = buf[m]
 
     times = cfg.dt * np.arange(1, n_steps + 1)
     states = reads[1:, :4].reshape(n_steps, 2, 2)

@@ -64,7 +64,60 @@ def all_births_step(cfg):
     return superop, np.array(rows, dtype=complex)
 
 
+def per_step_evolve(cfg, rho0, n_steps):
+    """``(states, q_sa, q_intra_in, q_intra_out)`` of ``evolve`` from a per-step loop.
+
+    Each step is one ``v = superop @ v`` and one ``readout @ v`` on the
+    compound, as ``evolve`` ran before it stepped in chunks. The states are
+    the system rows read after each step; the heats are read before each
+    step, and a step's incoming intra heat is the previous step's reading
+    (0 for the first, fresh memory).
+    """
+    from collideq.engine import _step_ops
+
+    ops = _step_ops(cfg)
+    v = ops.attach(np.asarray(rho0, dtype=complex)).reshape(-1)
+    reads = [ops.readout @ v]
+    for _ in range(n_steps):
+        v = ops.superop @ v
+        reads.append(ops.readout @ v)
+    reads = np.array(reads)
+    heats = reads[:-1, 4:].real.reshape(n_steps, cfg.n_baths, 3)
+    q_intra_in = np.zeros((n_steps, cfg.n_baths))
+    q_intra_in[1:] = heats[:-1, :, 2]
+    return reads[1:, :4].reshape(n_steps, 2, 2), heats[:, :, 0], q_intra_in, heats[:, :, 1]
+
+
 def recompute_value_from_series(series):
     """Revival sum from a stored distance series (consistency helper)."""
     inc = np.diff(series)
     return float(inc[inc > 0.0].sum())
+
+
+def csv_line(row):
+    """The CSV text of one row of values, as the CLI formatted rows value by value
+    before it formatted each column once: a float (numpy's included) to 12
+    significant digits, anything else by ``str``."""
+    return ",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row)
+
+
+def eager_parser():
+    """The CLI parser with every command's options added up front, one
+    ``add_argument`` per option and command, as ``build_parser`` built it
+    before its subparsers added their options on first use."""
+    import argparse
+
+    from collideq.cli import _COMMANDS, _OPTIONS, _flag
+
+    parser = argparse.ArgumentParser(
+        prog="collideq",
+        description="multi-bath collision model experiments (CSV output)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in _COMMANDS:
+        p = sub.add_parser(command)
+        for name, opt in _OPTIONS.items():
+            if opt.flag:
+                p.add_argument(_flag(name), dest=name, choices=opt.choices,
+                               help=opt.help if command in opt.commands else argparse.SUPPRESS)
+    return parser

@@ -170,7 +170,8 @@ def full_path(c, n_steps, grid):
     values = np.zeros(len(pairs))
     max_inc = np.full(len(pairs), -np.inf)
     d_prev = np.ones(len(pairs))
-    for block in core.propagate(block, n_steps):
+    for _ in range(n_steps):
+        block = core.superop @ block
         sys_block = core.system_rows @ block
         d = np.sqrt(sys_block[0].real ** 2 + np.abs(sys_block[1]) ** 2)
         d[d < 1e-14] = 0.0

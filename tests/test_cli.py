@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -14,6 +15,7 @@ from collideq.cli import Resolved, build_parser, main, read_config_file
 from collideq.engine import StepChannel, steady_state
 from collideq.errors import NonUniqueSteadyState, NotHermitian, NumericalPositivityError
 from collideq.tensor import DensityMatrix, QubitRegister
+from oracles import csv_line, eager_parser
 
 HALF_PI = math.pi / 2
 
@@ -782,3 +784,114 @@ class TestOptionMatrix:
         err = capsys.readouterr().err
         assert preset in err and all(c in err for c in PRESET_TAKERS[preset])
         assert not out.exists()
+
+
+# values whose text a formatter could get wrong: NaN of either sign, signed
+# zeros and infinities, the smallest subnormal, floats past 2^53, sums that
+# round, ints past 2^53, numpy scalars and strings
+ODD_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16, 0.1 + 0.2,
+              -1 / 3, 123456789.123456789]
+ODD_INTS = [0, -7, 2 ** 53 + 1, -(2 ** 62) - 3, 2 ** 63 - 1]
+ODD_SCALARS = [*ODD_FLOATS, *ODD_INTS, *map(np.float64, ODD_FLOATS), *map(np.int64, ODD_INTS),
+               "ok", "nonunique:2", ""]
+
+
+class TestColumnFormat:
+    """Each column formatted once against the row-by-row formatting it replaced."""
+
+    @pytest.mark.parametrize("value", ODD_SCALARS, ids=repr)
+    def test_scalar_is_repeated(self, value):
+        assert cli._column(value, 3) == [csv_line([value])] * 3
+
+    @pytest.mark.parametrize("array", [np.array(ODD_FLOATS), np.array(ODD_INTS, dtype=np.int64),
+                                       np.array(["ok", "unconverged"]), np.array([], dtype=float)],
+                             ids=["float64", "int64", "str", "empty"])
+    def test_array_entry_by_entry(self, array):
+        assert ",".join(cli._column(array, len(array))) == csv_line(array)
+
+    def test_blocks_print_as_row_records_did(self, tmp_path, monkeypatch):
+        # an array block, a failed cell and a scalar block with its own status,
+        # against the per-row records of each merged with the cell's fields
+        blocks = [{"step": np.arange(1, 6), "t": np.array(ODD_FLOATS[:5]),
+                   "one_minus_f": np.float64(-0.0), "beta_e": np.array(ODD_FLOATS[5:10])},
+                  NumericalPositivityError("Born probability below 0"),
+                  {"step": 2 ** 53 + 1, "beta_e": np.float64(5e-324), "status": "unconverged"}]
+        feed = iter(blocks)
+
+        def rows(res, cell):
+            block = next(feed)
+            if isinstance(block, Exception):
+                raise block
+            return block
+
+        monkeypatch.setitem(cli._COMMANDS, "dynamics",
+                            dataclasses.replace(cli._COMMANDS["dynamics"], rows=rows))
+        out = tmp_path / "o.csv"
+        assert run_cli(["dynamics", "--setting", "I", "--beta", "2", "--dt-grid", "0.1:0.3:3",
+                        "--steps", "5", "--out", str(out)]) == 1
+        columns = cli._COMMANDS["dynamics"].columns
+        expected = []
+        for dt, block in zip((0.1, 0.2, 0.3), blocks):
+            if isinstance(block, Exception):
+                block = {"status": "nonpositive"}
+            base = {"status": "ok", "setting": "I", "beta": 2.0, "dt": dt, "delta": 0.0}
+            step = block.get("step")
+            n_rows = len(step) if isinstance(step, np.ndarray) else 1
+            for k in range(n_rows):
+                rec = {c: v[k] if isinstance(v, np.ndarray) else v for c, v in block.items()}
+                expected.append(csv_line([rec.get(c, base.get(c, math.nan)) for c in columns]))
+        body = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert body == [",".join(columns), *expected]
+        assert body[6] == "I,2,0.2,0,nan,nan,nan,nan,nonpositive"
+
+
+def subparser(parser, command):
+    return next(a for a in parser._actions if a.dest == "command").choices[command]
+
+
+PARSE_RUNS = {
+    "unknown-flag": (["dynamics", "--bogus", "1"], 2),
+    "unread-flag": (["dynamics", "--traj", "5"], 2),
+    "bad-choice": (["dynamics", "--setting", "III"], 2),
+    "bad-value": (["dynamics", "--beta", "abc"], 2),
+    "missing-value": (["sweep", "--beta"], 2),
+    "unknown-command": (["foo"], 2),
+    "no-command": ([], 2),
+    "help": (["--help"], 0),
+    **{f"help-{c}": ([c, "--help"], 0) for c in cli._COMMANDS},
+}
+
+
+class TestLazyParser:
+    """Each command's options, added on first use, against the eager build."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+    @pytest.mark.parametrize("method", ["format_help", "format_usage"])
+    def test_formats_match(self, command, method):
+        # fresh parsers, so formatting alone must add the options
+        lazy, eager = build_parser(), eager_parser()
+        if command is not None:
+            lazy, eager = subparser(lazy, command), subparser(eager, command)
+        assert getattr(lazy, method)() == getattr(eager, method)()
+
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    def test_parses_match(self, command):
+        argv = [command, "--beta", "2", "--dt", "0.1", "--out", "x.csv"]
+        assert build_parser().parse_args(argv) == eager_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv, code", PARSE_RUNS.values(), ids=PARSE_RUNS)
+    def test_output_and_exit_code_match(self, monkeypatch, capsys, argv, code):
+        results = []
+        for factory in (build_parser, eager_parser):
+            monkeypatch.setattr(cli, "build_parser", factory)
+            try:
+                got = main(list(argv))
+            except SystemExit as exc:
+                got = exc.code
+            results.append((got, *capsys.readouterr()))
+        assert results[0] == results[1]
+        assert results[0][0] == code

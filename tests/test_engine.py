@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from collideq.engine import (
+    _EVOLVE_CHUNK,
     EvolutionResult,
     ModelConfig,
     StepChannel,
@@ -43,7 +44,7 @@ from collideq.tensor import (
     partial_trace,
     projector,
 )
-from oracles import all_births_step, damped_qubit
+from oracles import all_births_step, damped_qubit, per_step_evolve
 
 HALF_PI = math.pi / 2
 
@@ -358,19 +359,6 @@ class TestEmbeddedChannel:
             for idx in np.ndindex(3, 2):
                 assert np.array_equal(out[idx], np.kron(stack[idx], ops.fresh_state))
 
-    @pytest.mark.parametrize("cfg", [cfg_i(dt=0.1, delta=0.7),
-                                     cfg_ii(beta=0.3, dt=0.3, delta=1.2)], ids=["I", "II"])
-    def test_propagate_yields_every_step(self, cfg):
-        from collideq.engine import _step_ops
-
-        ops = _step_ops(cfg)
-        v = np.random.default_rng(4).normal(size=(ops.compound_register.dim ** 2, 3)).astype(complex)
-        steps = list(ops.propagate(v, 4))
-        assert len(steps) == 4
-        for out in steps:
-            v = ops.superop @ v
-            assert np.array_equal(out, v)
-
     @pytest.mark.parametrize("setting", ["I", "II"])
     @pytest.mark.parametrize("beta", [0.5, 2.0, math.inf])
     @pytest.mark.parametrize("dt", [1e-3, 0.14375, 0.38125])
@@ -684,6 +672,19 @@ class TestCoreCaches:
 
 
 class TestEvolve:
+    @pytest.mark.parametrize("n_steps", [1, _EVOLVE_CHUNK - 1, _EVOLVE_CHUNK, _EVOLVE_CHUNK + 1,
+                                         2 * _EVOLVE_CHUNK + 3])
+    @pytest.mark.parametrize("start", ["ground", "mixed"])
+    @pytest.mark.parametrize("cfg", [cfg_i(dt=0.1, delta=0.7),
+                                     cfg_ii(beta=0.3, dt=0.3, delta=1.2)], ids=["I", "II"])
+    def test_chunked_steps_match_the_per_step_loop(self, cfg, start, n_steps):
+        # n_steps sits on and around the chunk edges
+        rho0 = projector(1) if start == "ground" else np.eye(2) / 2
+        res = evolve(cfg, sys_dm(rho0), n_steps)
+        ref = per_step_evolve(cfg, rho0, n_steps)
+        for name, expected in zip(("states", "q_sa", "q_intra_in", "q_intra_out"), ref):
+            assert np.array_equal(getattr(res, name), expected), name
+
     def test_setting1_monotone_fidelity_below_revival_threshold(self):
         # at delta = 0.5 pi/2 the memory refreshes well inside one exchange
         # cycle, so the approach to the thermal state is strictly monotone
