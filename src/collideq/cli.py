@@ -92,8 +92,8 @@ def _fmt(x) -> str:
 
 def _column(value, n_rows: int) -> List[str]:
     """A block's column as CSV fields: an array's entries, or a scalar once, ``n_rows`` times."""
-    if isinstance(value, np.ndarray):
-        return list(map(_fmt, value.tolist()))
+    if isinstance(value, np.ndarray):  # one format for the whole array, as _fmt picks per entry
+        return list(map("{:.12g}".format if value.dtype.kind == "f" else str, value.tolist()))
     return [_fmt(value)] * n_rows
 
 
@@ -300,30 +300,23 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """A command's parser, adding its options when it first parses or formats usage or help."""
+class _CommandParsers(dict):
+    """Every command, in ``_COMMANDS`` order, mapped to its parser, which is
+    built with all its options the first time argparse looks it up."""
 
-    _pending: Optional[str] = None  # the command whose options are not added yet
+    def __init__(self, prog: str):
+        super().__init__(dict.fromkeys(_COMMANDS))
+        self.prog = prog
 
-    def _build(self) -> None:
-        if self._pending:
-            command, self._pending = self._pending, None
+    def __getitem__(self, command: str) -> argparse.ArgumentParser:
+        parser = super().__getitem__(command)
+        if parser is None:
+            parser = self[command] = argparse.ArgumentParser(prog=f"{self.prog} {command}")
             for name, opt in _OPTIONS.items():
                 if opt.flag:  # a flag the command does not read parses, is hidden and is rejected
-                    self.add_argument(_flag(name), dest=name, choices=opt.choices, help=opt.help
-                                      if command in opt.commands else argparse.SUPPRESS)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._build()
-        return super().parse_known_args(args, namespace)
-
-    def format_usage(self) -> str:
-        self._build()
-        return super().format_usage()
-
-    def format_help(self) -> str:
-        self._build()
-        return super().format_help()
+                    parser.add_argument(_flag(name), dest=name, choices=opt.choices, help=opt.help
+                                        if command in opt.commands else argparse.SUPPRESS)
+        return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,9 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="collideq",
         description="multi-bath collision model experiments (CSV output)",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-    for command in _COMMANDS:
-        sub.add_parser(command)._pending = command
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.choices = sub._name_parser_map = _CommandParsers(sub._prog_prefix)
     return parser
 
 

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import math
 import os
@@ -804,10 +805,13 @@ class TestColumnFormat:
         assert cli._column(value, 3) == [csv_line([value])] * 3
 
     @pytest.mark.parametrize("array", [np.array(ODD_FLOATS), np.array(ODD_INTS, dtype=np.int64),
-                                       np.array(["ok", "unconverged"]), np.array([], dtype=float)],
-                             ids=["float64", "int64", "str", "empty"])
+                                       np.array(["ok", "unconverged"]), np.array([], dtype=float),
+                                       np.array([True, False]),
+                                       np.array(ODD_FLOATS, dtype=np.float32)],
+                             ids=["float64", "int64", "str", "empty", "bool", "float32"])
     def test_array_entry_by_entry(self, array):
-        assert ",".join(cli._column(array, len(array))) == csv_line(array)
+        # an array's entries print as the Python scalars of .tolist(): a float32 as a float
+        assert ",".join(cli._column(array, len(array))) == csv_line(array.tolist())
 
     def test_blocks_print_as_row_records_did(self, tmp_path, monkeypatch):
         # an array block, a failed cell and a scalar block with its own status,
@@ -895,3 +899,27 @@ class TestLazyParser:
             results.append((got, *capsys.readouterr()))
         assert results[0] == results[1]
         assert results[0][0] == code
+
+
+class TestCommandParsers:
+    """The subparsers' command map builds a command's parser on its first lookup."""
+
+    def test_a_run_builds_two_parsers(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["dynamics", "--dt", "0.1", "--steps", "3",
+                     "--out", str(tmp_path / "o.csv")]) == 0
+        assert built == ["collideq", "collideq dynamics"]
+
+    def test_lookups_return_one_parser(self):
+        parser = build_parser()
+        first = subparser(parser, "blp")
+        assert subparser(parser, "blp") is first
+        assert parser.parse_args(["blp", "--beta", "2"]).beta == "2"
+        assert subparser(parser, "blp") is first
