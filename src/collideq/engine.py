@@ -28,7 +28,6 @@ from .errors import (
     FixedPointError,
     InvalidParameter,
     NonUniqueSteadyState,
-    NumericalPositivityError,
     _check_count,
     _is_integer,
 )
@@ -39,7 +38,6 @@ from .tensor import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    STRUCT_TOL,
     SWAP_2,
     DensityMatrix,
     HermitianOp,
@@ -295,12 +293,6 @@ class _StepOps:
         q = reads[..., 4:].real.reshape(reads.shape[:-1] + (-1, 3))
         return q[..., 0], q[..., 1], q[..., 2]
 
-    def step_with_heat(self, rho_c: np.ndarray):
-        """One step returning (next compound, q_sa, q_intra_out, q_intra_in)."""
-        v = np.asarray(rho_c, dtype=complex).reshape(-1)
-        q_sa, q_intra_out, q_intra_in = self.heats(self.readout @ v)
-        return (self.superop @ v).reshape(rho_c.shape), q_sa, q_intra_out, q_intra_in
-
 
 @functools.lru_cache(maxsize=1)
 def _step_ops(cfg: ModelConfig) -> _StepOps:
@@ -415,8 +407,9 @@ def steady_state(channel: StepChannel) -> DensityMatrix:
     as the gap closes, since the fixed point of the floating-point ``S`` is
     only conditioned to eps/gap. Raises :class:`FixedPointError` when the
     residual under the full ``S`` exceeds 1e-12 or the two solutions
-    disagree, and :class:`NumericalPositivityError` when the fixed point has
-    an eigenvalue below -1e-10.
+    disagree. The returned :class:`DensityMatrix` runs the density check, so
+    a fixed point with an eigenvalue below -1e-10 raises
+    :class:`NumericalPositivityError` there.
     """
     superop = channel.superop
     d = channel.dim
@@ -467,11 +460,6 @@ def steady_state(channel: StepChannel) -> DensityMatrix:
             f"bordered solve and power iteration disagree by {dev:.2e} "
             f"(tolerance {tol:.2e} at spectral gap {gap:.2e})"
         )
-    lam_min = np.linalg.eigvalsh(rho).min()
-    if lam_min < -STRUCT_TOL:
-        raise NumericalPositivityError(
-            f"steady state has minimum eigenvalue {lam_min:.3e}, below -1e-10"
-        )
     return DensityMatrix(channel.register, rho)
 
 
@@ -509,9 +497,10 @@ def evolve(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int) -> EvolutionRe
 
     Returns one row per collision at times t = n dt, including the per-bath
     heat bookkeeping of the unit retired at each step. The system states of
-    all steps are checked as density matrices (``NotHermitian``, or
-    ``NumericalPositivityError`` for a trace, positivity or finiteness
-    failure, on the first that fails) and read out as one stack.
+    all steps go through the density check as one stack, which raises on
+    the first that fails (``NotHermitian``, or ``NumericalPositivityError``
+    for a trace, positivity or finiteness failure), and are read out as one
+    stack.
     """
     _check_count("n_steps", n_steps)
     rho0 = _system_matrix(rho0_s)
@@ -537,10 +526,7 @@ def evolve(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int) -> EvolutionRe
     q_sa, q_intra_out, next_q_in = ops.heats(reads[:-1])
     # the first memory is a fresh unit: no predecessor
     q_intra_in = np.vstack([np.zeros((1, cfg.n_baths)), next_q_in[:-1]])
-    try:
-        _check_density_stack(states)
-    except ValueError as err:  # a computed state, not an input: flags the cell
-        raise NumericalPositivityError(str(err)) from err
+    _check_density_stack(states)
     fid = _fidelities(states, target.mat)
     _, beta_e, _ = _effective_betas(states, cfg.omega)
 

@@ -65,11 +65,12 @@ class FixedPointError(CollideqError):
     """
 
 
-class NumericalPositivityError(CollideqError):
-    """A computed probability or state lost positivity beyond tolerance.
+class NumericalPositivityError(CollideqError, ValueError):
+    """A probability or state lost positivity, unit trace or finiteness.
 
-    Raised when Born probabilities fall outside [0, 1], when a computed
-    density matrix (such as a steady state) has an eigenvalue below the
-    structural tolerance, or when a system state computed by ``evolve``
-    fails its trace, positivity or finiteness check.
+    Raised when Born probabilities fall outside [0, 1], and by the density
+    check on every state, computed or given: a matrix with a non-finite
+    entry, a trace off 1 or an eigenvalue below -1e-10. So a steady state,
+    a readout's marginal of it or a system state from ``evolve`` that fails
+    the check raises it. It is also a ``ValueError``, as a bad input state is.
     """

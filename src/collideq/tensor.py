@@ -18,7 +18,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSubsystem, NotHermitian
+from .errors import DimensionMismatch, InvalidSubsystem, NotHermitian, NumericalPositivityError
 
 ENTRY_TOL = 1e-12      # entrywise comparisons
 STRUCT_TOL = 1e-10     # structural invariants (unitarity, trace, positivity)
@@ -112,25 +112,30 @@ def _check_density_stack(mats: np.ndarray) -> None:
 
     Finite, then Hermitian, unit trace and no eigenvalue below zero to 1e-10.
     The first matrix of the stack that fails raises the error of its first
-    failing check: ``NotHermitian``, else ``ValueError``.
+    failing check: ``NotHermitian``, else ``NumericalPositivityError``. This
+    is the one place that picks the error of a failing state, so a computed
+    state (a steady state, its marginal, an evolved system state) fails with
+    the typed error that flags a grid cell.
     """
     nonfinite = ~np.isfinite(mats).all(axis=(-2, -1))
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite matrix
         herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > STRUCT_TOL
         tr = np.trace(mats, axis1=-2, axis2=-1)
         unit = np.abs(tr - 1.0) > STRUCT_TOL
-        neg = np.linalg.eigvalsh(mats).min(axis=-1) < -STRUCT_TOL
+        lam_min = np.linalg.eigvalsh(mats).min(axis=-1)
+    neg = lam_min < -STRUCT_TOL
     bad = np.flatnonzero(nonfinite | herm | unit | neg)
     if not bad.size:
         return
     k = bad[0]
     if nonfinite[k]:
-        raise ValueError("density matrix has non-finite (NaN or inf) entries")
+        raise NumericalPositivityError("density matrix has non-finite (NaN or inf) entries")
     if herm[k]:
         raise NotHermitian("density matrix is not Hermitian to 1e-10")
     if unit[k]:
-        raise ValueError(f"density matrix trace {tr[k]} differs from 1 beyond 1e-10")
-    raise ValueError("density matrix has an eigenvalue below -1e-10")
+        raise NumericalPositivityError(f"density matrix trace {tr[k]} differs from 1 beyond 1e-10")
+    raise NumericalPositivityError(
+        f"density matrix has an eigenvalue below -1e-10 (minimum {lam_min[k]:.3e})")
 
 
 @dataclass(frozen=True, eq=False)

@@ -88,6 +88,38 @@ def per_step_evolve(cfg, rho0, n_steps):
     return reads[1:, :4].reshape(n_steps, 2, 2), heats[:, :, 0], q_intra_in, heats[:, :, 1]
 
 
+def covariant_blp(cfg, n_steps, thetas):
+    """BLP revival sum of each polar angle in ``thetas``, from two columns.
+
+    The step is phase covariant: its superoperator is block-diagonal in
+    coherence order. So ``sigma_z`` with fresh memories stays in the trace
+    block, whose system marginal is ``c_k sigma_z`` after step k (entry 00),
+    and ``sigma_+ = |0><1|`` stays in a coherence-1 block, with entry 01
+    ``lambda_k``. The antipodal pair at ``(theta, phi)`` differs by ``n.sigma
+    = cos(theta) sigma_z + sin(theta) (e^{-i phi} sigma_+ + h.c.)``, so its
+    trace distance is ``sqrt(c_k^2 cos^2 theta + |lambda_k|^2 sin^2 theta)``
+    for every ``phi``. Each column is stepped by a plain ``superop @ v`` on
+    the whole compound; a distance below 1e-14 reads as 0, and the revival
+    sum adds the positive increments from ``D_0 = 1``. Shares only the step
+    and the system rows with ``blp_measure``.
+    """
+    from collideq.engine import _step_ops
+
+    ops = _step_ops(cfg)
+    z = ops.attach(np.diag([1.0, -1.0]).astype(complex)).reshape(-1)
+    plus = ops.attach(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)).reshape(-1)
+    c, lam = np.empty(n_steps), np.empty(n_steps)
+    for k in range(n_steps):
+        z, plus = ops.superop @ z, ops.superop @ plus
+        c[k] = (ops.system_rows[0] @ z).real
+        lam[k] = abs(ops.system_rows[1] @ plus)
+    cos2 = np.cos(np.asarray(thetas, dtype=float)) ** 2
+    d = np.sqrt(np.outer(c * c, cos2) + np.outer(lam * lam, 1.0 - cos2))
+    d[d < 1e-14] = 0.0
+    inc = np.diff(np.vstack([np.ones(len(cos2)), d]), axis=0)
+    return np.where(inc > 0.0, inc, 0.0).sum(axis=0)
+
+
 def recompute_value_from_series(series):
     """Revival sum from a stored distance series (consistency helper)."""
     inc = np.diff(series)

@@ -114,9 +114,10 @@ def test_c04_heat_conservation():
                 cfg = ModelConfig(beta=beta, dt=dt, delta=delta, setting="II")
                 rho = steady_state(embedded_step_channel(cfg))
                 ops = _StepOps(cfg)
-                state = rho.mat
+                v = rho.mat.reshape(-1)
                 for _ in range(3):
-                    state, q_sa, _, _ = ops.step_with_heat(state)
+                    q_sa, _, _ = ops.heats(ops.readout @ v)
+                    v = ops.superop @ v
                     worst_pair = max(worst_pair, abs(float(q_sa.sum())))
     worst_flux = 0.0
     for beta in (0.5, 2.0):

@@ -84,6 +84,20 @@ class TestSteadyState:
         assert [r["status"] for r in rows] == ["nonpositive", "ok", "ok"]
         assert rows[0]["heat_flux"] == "nan" and rows[0]["beta_e"] == "nan"
 
+    def test_marginal_failing_its_check_flagged_not_fatal(self, tmp_path, monkeypatch):
+        # a compound state that passes the -1e-10 bound, four populations of
+        # -0.9e-10 with S excited, whose system marginal sums them to -3.6e-10
+        pops = np.array([-0.9e-10] * 4 + [(1.0 + 3.6e-10) / 4] * 4)
+        state = DensityMatrix(QubitRegister(["S", "M0", "M1"]), np.diag(pops).astype(complex))
+        monkeypatch.setattr(cli, "steady_state", lambda channel: state)
+        out = tmp_path / "sweep.csv"
+        code = run_cli(["sweep", "--beta", "2", "--dt", "0.1", "--delta", "0.5",
+                        "--out", str(out)])
+        assert code == 1
+        _, columns, rows = read_rows(out)
+        assert rows == [{**dict.fromkeys(columns, "nan"), "beta": "2", "dt": "0.1",
+                         "delta": "0.5", "status": "nonpositive"}]
+
     def test_fixed_point_failure_flagged_not_fatal(self, tmp_path, monkeypatch):
         # eigenvalue-1 vector of trace 1e-10: the fixed-point residual bound fails
         v = np.array([[5e-11, 1.0], [1.0, 5e-11]], dtype=complex).reshape(-1)

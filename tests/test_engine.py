@@ -334,18 +334,6 @@ class TestEmbeddedChannel:
 
     @pytest.mark.parametrize("cfg", [cfg_i(dt=0.1, delta=0.7),
                                      cfg_ii(beta=0.3, dt=0.3, delta=1.2)], ids=["I", "II"])
-    def test_step_with_heat_propagates_by_the_channel(self, cfg):
-        from collideq.engine import _step_ops
-
-        d = 2 ** (1 + cfg.n_baths)
-        x, y = np.random.default_rng(5).normal(size=(2, d, d))
-        rho = (x + 1j * y) @ (x - 1j * y).T
-        rho = rho / np.trace(rho)
-        assert np.array_equal(_step_ops(cfg).step_with_heat(rho)[0],
-                              embedded_step_channel(cfg).apply(rho))
-
-    @pytest.mark.parametrize("cfg", [cfg_i(dt=0.1, delta=0.7),
-                                     cfg_ii(beta=0.3, dt=0.3, delta=1.2)], ids=["I", "II"])
     def test_attach_is_kron_with_fresh_state(self, cfg):
         from collideq.engine import _step_ops
 
@@ -750,7 +738,9 @@ class TestEvolve:
             pending_in = np.zeros(nb)
             e_s, e_m = energies(rho_c)
             for _ in range(30):
-                rho_c, q_sa, q_out, q_in_next = ops.step_with_heat(rho_c)
+                v = rho_c.reshape(-1)
+                q_sa, q_out, q_in_next = ops.heats(ops.readout @ v)
+                rho_c = (ops.superop @ v).reshape(rho_c.shape)
                 lifecycle = (pending_in + q_sa + q_out).sum()
                 e_s2, e_m2 = energies(rho_c)
                 closure = (e_s2 - e_s) + (e_m2 - e_m) + lifecycle
@@ -807,7 +797,7 @@ class TestEvolve:
         cfg = cfg_ii(beta=0.5, dt=0.05, delta=0.9)
         rho_star = steady_state(embedded_step_channel(cfg))
         ops = _StepOps(cfg)
-        _, q_sa, _, _ = ops.step_with_heat(rho_star.mat)
+        q_sa, _, _ = ops.heats(ops.readout @ rho_star.mat.reshape(-1))
         assert abs(q_sa.sum()) < 1e-12
 
     def test_markovian_lifecycle_equals_qsa(self):

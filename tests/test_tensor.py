@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from collideq.errors import DimensionMismatch, InvalidSubsystem, NotHermitian
+from collideq.errors import (CollideqError, DimensionMismatch, InvalidSubsystem, NotHermitian,
+                             NumericalPositivityError)
 from collideq.tensor import (
     GROUND,
     SIGMA_X,
@@ -381,6 +382,27 @@ class TestValidation:
         stack[0, 0, 1] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             _check_density_stack(stack)
+
+    @pytest.mark.parametrize("bad, match", [
+        (np.diag([np.nan, 1.0]), "non-finite"),
+        (np.diag([0.61, 0.4]), "trace"),
+        (np.diag([1.5, -0.5]), r"eigenvalue below -1e-10 \(minimum -5.000e-01\)"),
+    ], ids=["non-finite", "trace", "negative"])
+    def test_failing_state_raises_typed_positivity_error(self, bad, match):
+        # the one error of a state failing its checks: a CollideqError, which
+        # flags a CLI cell, and a ValueError, as a bad input is
+        stack = np.stack([random_density(1, np.random.default_rng(8)), bad.astype(complex)])
+        with pytest.raises(NumericalPositivityError, match=match) as err:
+            _check_density_stack(stack)
+        assert isinstance(err.value, CollideqError) and isinstance(err.value, ValueError)
+
+    def test_marginal_below_the_bound_raises_typed_error(self):
+        # four populations of -0.9e-10 with S excited pass the -1e-10 bound on
+        # (S, M0, M1); tracing out both memories sums them to -3.6e-10
+        pops = np.array([-0.9e-10] * 4 + [(1.0 + 3.6e-10) / 4] * 4)
+        rho = DensityMatrix(QubitRegister(["S", "M0", "M1"]), np.diag(pops).astype(complex))
+        with pytest.raises(NumericalPositivityError, match=r"minimum -3\.600e-10"):
+            partial_trace(rho, ["S"])
 
     def test_unitary_invariant(self):
         reg = QubitRegister(["A"])
