@@ -494,7 +494,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             fields = {"status": "ok", **cell.fields(), **block}
             rows += zip(*(_column(fields.get(c, math.nan), n) for c in columns), strict=True)
         write_csv(res.out, res.command, res.echo(), columns, rows)
-    except (CollideqError, ValueError, OSError) as err:
+    except (CollideqError, ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     status_idx = columns.index("status")

@@ -27,10 +27,12 @@ and sum is per trajectory, so a trajectory rounds the same at every batch
 size.
 
 Randomness is counter-based: trajectory k of an ensemble draws from a Philox
-stream keyed by a seed derived from (master_seed, k) by numpy's SeedSequence
-algorithm, run for a whole chunk of indices at once, and every variate has a
-fixed (step, bath, purpose) slot in a pregenerated table, so adding
-diagnostics can never shift the sample sequence.
+stream keyed by the first uint64 of numpy's SeedSequence(entropy=master_seed,
+spawn_key=(k,)). numpy mixes the master seed; the index stage is ported to
+uint32 arrays and runs for a whole chunk of indices at once, so an ensemble
+holds at most 2**32 trajectories. Every variate has a fixed (step, bath,
+purpose) slot in a pregenerated table, so adding diagnostics can never shift
+the sample sequence.
 """
 
 from __future__ import annotations
@@ -64,16 +66,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _words(n: int) -> list:
-    """32-bit words of a non-negative integer, least significant first (0 gives [0])."""
-    out = [n & _MASK32]
-    while n := n >> 32:
-        out.append(n & _MASK32)
-    return out
-
-
 def _hashmix(value, hash_const: int, mult: int = _MULT_A):
-    """SeedSequence's hashmix of a word or a uint32 array; returns (hash, next constant)."""
+    """SeedSequence's hashmix of a uint32 array; returns (hash, next constant)."""
     value = value ^ hash_const
     hash_const = hash_const * mult & _MASK32
     value = value * hash_const & _MASK32
@@ -85,58 +79,27 @@ def _mix(x, y):
     return result ^ result >> _XSHIFT
 
 
-def _mix_in(pool: list, words, hash_const: int) -> int:
-    """Mix entropy words past the pool's size into every pool word, in place."""
-    for word in words:
-        for dst in range(_POOL_SIZE):
-            h, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], h)
-    return hash_const
-
-
-def _index_words(start: int, stop: int, n_words: int) -> list:
-    """Word rows, least significant first, of indices [start, stop) that have n_words words."""
-    if n_words > 2:  # past uint64: only a lone seed of a huge index gets here
-        return list(np.array([_words(k) for k in range(start, stop)], np.uint32).T)
-    k = np.arange(start, stop, dtype=np.uint64)
-    return [(k >> 32 * i & _MASK32).astype(np.uint32) for i in range(n_words)]
-
-
 def _trajectory_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
     """``trajectory_seed(master_seed, k)`` for every k in [start, stop), as uint64.
 
-    SeedSequence's entropy mixing and output stage run over the whole index
-    range at once, as uint32 arrays. The entropy is the master's words
-    zero-padded to the pool size, then the index's words; everything before
-    the index's words is the same for every k and is mixed once, as ints.
+    Needs stop <= 2**32, since each index is mixed in as one uint32 word.
+    ``SeedSequence(master_seed).pool`` holds the mixed master; mixing it made
+    ``_POOL_SIZE * max(_POOL_SIZE, n_words)`` hashmix calls, each of which
+    multiplied the hash constant by ``_MULT_A``. The index word and the
+    output stage then run over the whole index range at once.
     """
-    entropy = _words(int(master_seed))
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    hash_const, pool = _INIT_A, []
-    for word in entropy[:_POOL_SIZE]:
-        h, hash_const = _hashmix(word, hash_const)
-        pool.append(h)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                h, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], h)
-    hash_const = _mix_in(pool, entropy[_POOL_SIZE:], hash_const)
-    pool = list(np.array(pool, np.uint32)[:, None])  # broadcast over the indices
-
-    seeds = np.empty(stop - start, np.uint64)
-    lo = start
-    while lo < stop:  # one pass per index word count
-        n_words = len(_words(lo))
-        hi = min(stop, 1 << 32 * n_words)
-        mixed = pool.copy()
-        _mix_in(mixed, _index_words(lo, hi, n_words), hash_const)
-        # the output stage: a uint64 is the first two pool words, low word first
-        low, out_const = _hashmix(mixed[0], _INIT_B, _MULT_B)
-        high, _ = _hashmix(mixed[1], out_const, _MULT_B)
-        seeds[lo - start:hi - start] = low.astype(np.uint64) | high.astype(np.uint64) << 32
-        lo = hi
-    return seeds
+    master_seed = int(master_seed)
+    n_words = (master_seed.bit_length() + 31) // 32
+    n_calls = _POOL_SIZE * max(_POOL_SIZE, n_words)
+    hash_const = _INIT_A * pow(_MULT_A, n_calls, 1 << 32) & _MASK32
+    pool = np.random.SeedSequence(master_seed).pool[:, None]  # broadcast over the indices
+    index = np.arange(start, stop, dtype=np.uint32)
+    h0, hash_const = _hashmix(index, hash_const)
+    h1, _ = _hashmix(index, hash_const)
+    # the output stage reads pool words 0 and 1: a uint64 is the two, low word first
+    low, out_const = _hashmix(_mix(pool[0], h0), _INIT_B, _MULT_B)
+    high, _ = _hashmix(_mix(pool[1], h1), out_const, _MULT_B)
+    return low.astype(np.uint64) | high.astype(np.uint64) << 32
 
 
 def _check_nonnegative(name: str, value) -> None:
@@ -145,14 +108,15 @@ def _check_nonnegative(name: str, value) -> None:
 
 
 def trajectory_seed(master_seed: int, index: int) -> int:
-    """Deterministic, order-independent per-trajectory seed.
+    """Deterministic, order-independent per-trajectory seed, for any index.
 
-    Equal to ``np.random.SeedSequence(entropy=master_seed,
-    spawn_key=(index,)).generate_state(1, np.uint64)[0]``.
+    Member ``index`` of an ensemble with master seed ``master_seed`` draws
+    from this seed; ensembles vectorise it with :func:`_trajectory_seeds`.
     """
     _check_nonnegative("master_seed", master_seed)
     _check_nonnegative("index", index)
-    return int(_trajectory_seeds(master_seed, index, index + 1)[0])
+    sequence = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
+    return int(sequence.generate_state(1, np.uint64)[0])
 
 
 def _uniform_tables(seeds, n_steps: int, n_baths: int) -> np.ndarray:
@@ -290,6 +254,8 @@ def ensemble_mean_heat(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int,
     """
     _check_count("n_steps", n_steps)
     _check_count("n_trajectories", n_trajectories)
+    if n_trajectories > 1 << 32:  # _trajectory_seeds takes each index as one uint32 word
+        raise InvalidParameter(f"n_trajectories must be at most 2**32 (got {n_trajectories})")
     _check_nonnegative("master_seed", master_seed)
     rho0 = _system_matrix(rho0_s)
     nb = cfg.n_baths

@@ -34,6 +34,35 @@ def damped_qubit(beta, gamma, omega, rho0, times, hamiltonian=False):
     return out
 
 
+def two_bath_markov(beta, dt, omega, gamma):
+    """Exact ``(p_e, flux)`` of the setting II steady state at delta = 0, at any dt.
+
+    Without intra-bath collisions each step meets fresh units, ground (bath 0)
+    and excited (bath 1), through ``U = exp(-i H dt)`` with ``H = -J0 SWAP_{S,A0}
+    - J1 SWAP_{S,A1}`` up to a constant. ``H`` conserves the excitation
+    number. A ground system starts in the 1-excitation sector, with the
+    excitation on A1; an excited one in the 2-excitation sector, with the
+    hole on A0. In both sectors a SWAP moves the odd qubit, the excitation or
+    the hole, between its two sites, so both 3x3 blocks, over the odd qubit's
+    site (S, A0, A1), are ``exp(i dt (J0 P_{S,A0} + J1 P_{S,A1}))``. The
+    system goes up with ``u = |V[S, A1]|**2`` and down with ``w = |V[S, A0]|**2``,
+    so ``p_e = u / (u + w)``. The heat per step into bath 0 is ``omega`` times
+    the probability that A0 leaves excited, a sum of squared moduli with no
+    O(1) - O(1) difference; ``flux`` is that heat over ``dt``.
+    """
+    nb = nbar(beta, omega)
+    j0, j1 = np.sqrt(gamma * (nb + 1.0) / dt), np.sqrt(gamma * nb / dt)
+    s, a0, a1 = 0, 1, 2
+    swap_0 = np.eye(3)[[a0, s, a1]]
+    swap_1 = np.eye(3)[[a1, a0, s]]
+    w_k, v_k = np.linalg.eigh(j0 * swap_0 + j1 * swap_1)
+    prob = np.abs((v_k * np.exp(1j * dt * w_k)) @ v_k.T) ** 2  # prob[i, j]: site j to site i
+    up, down = prob[s, a1], prob[s, a0]
+    p_e = up / (up + down)
+    a0_excited = (1.0 - p_e) * prob[a0, a1] + p_e * (prob[s, a0] + prob[a1, a0])
+    return p_e, omega * a0_excited / dt
+
+
 def all_births_step(cfg):
     """``(superop, readout)`` of ``cfg``'s step summed over every birth combination.
 

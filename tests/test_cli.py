@@ -385,6 +385,18 @@ class TestEcho:
         assert re.search(r"^error: .*Is a directory", capsys.readouterr().err, re.M)
         assert list(out.iterdir()) == []
 
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # exit 1 means "some rows flagged"; a run that cannot allocate is an error
+        def evolve(cfg, rho0, n_steps):
+            raise MemoryError("Unable to allocate 6.0 GiB")
+
+        monkeypatch.setattr(cli, "evolve", evolve)
+        out = tmp_path / "o.csv"
+        code = run_cli(["trajectories", "--steps", "20", "--traj", "10", "--out", str(out)])
+        assert code == 2
+        assert re.search(r"^error: Unable to allocate", capsys.readouterr().err, re.M)
+        assert not out.exists()
+
     @pytest.mark.parametrize("t_final", ["0", "-3", "inf", "nan"])
     def test_non_positive_t_final_rejected(self, tmp_path, capsys, t_final):
         out = tmp_path / "o.csv"

@@ -44,7 +44,7 @@ from collideq.tensor import (
     partial_trace,
     projector,
 )
-from oracles import all_births_step, damped_qubit, per_step_evolve
+from oracles import all_births_step, damped_qubit, per_step_evolve, two_bath_markov
 
 HALF_PI = math.pi / 2
 
@@ -924,6 +924,41 @@ class TestSteadyHeatFlux:
         f0 = steady_heat_flux_from_state(cfg, rho, 0)
         f1 = steady_heat_flux_from_state(cfg, rho, 1)
         assert abs(f0 + f1) < 1e-12
+
+
+# (dt, p_e tolerance, relative flux tolerance): 3-5x the worst error over
+# beta {0.5, 2} measured at each dt, 7.1e-16, 1.9e-15, 9.9e-15 and 4.1e-13 in
+# p_e and 6.4e-15, 7.6e-15, 1.0e-13 and 5.0e-12 in the flux, the last two
+# growing as eps over the spectral gap, about gamma (2 nbar + 1) dt
+TWO_BATH_MARKOV_CELLS = [(0.3, 2e-15, 3e-14), (0.1, 1e-14, 3e-14),
+                         (0.01, 5e-14, 5e-13), (0.001, 2e-12, 2.5e-11)]
+
+
+class TestTwoBathMarkov:
+    """Setting II at delta = 0 against its closed form, ``oracles.two_bath_markov``."""
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    @pytest.mark.parametrize("dt, tol_p, tol_flux", TWO_BATH_MARKOV_CELLS)
+    def test_steady_state_and_flux_match_closed_form(self, beta, dt, tol_p, tol_flux):
+        cfg = cfg_ii(beta=beta, dt=dt)
+        rho = steady_state(embedded_step_channel(cfg))
+        p_e, flux = two_bath_markov(beta, dt, cfg.omega, cfg.gamma)
+        marg = np.einsum("ikjk->ij", rho.mat.reshape(2, 4, 2, 4))
+        assert abs(marg[0, 0].real - p_e) <= tol_p
+        assert abs(steady_heat_flux_from_state(cfg, rho, 0) / flux - 1) <= tol_flux
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    def test_flux_tends_to_markov_limit_linearly_in_dt(self, beta):
+        # flux = omega gamma nbar (nbar + 1) / (2 nbar + 1) (1 + c dt + O(dt^2)),
+        # c = -gamma (3 nbar^2 + 3 nbar + 1) / (6 (2 nbar + 1)): -0.5206 at
+        # beta 0.5 and -0.1959 at beta 2; the O(dt^2) rest measured
+        # 0.26 |c| dt^2 and 0.12 |c| dt^2
+        nb = nbar(beta, 1.0)
+        limit = nb * (nb + 1) / (2 * nb + 1)
+        coef = -(3 * nb * nb + 3 * nb + 1) / (6 * (2 * nb + 1))
+        for dt in (1e-2, 1e-3):
+            slope = (steady_heat_flux(cfg_ii(beta=beta, dt=dt)) / limit - 1) / dt
+            assert abs(slope - coef) <= 0.5 * abs(coef) * dt
 
 
 def _flux_state(bath):

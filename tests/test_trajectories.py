@@ -329,9 +329,10 @@ def test_uniform_tables_equal_fresh_philox_generators(n_steps, n_baths):
 
 
 # master seeds: small ones, the benchmark's seed * 100000 + run index, and
-# masters of one, two, three and five 32-bit words
+# masters of one, two, three, four and five 32-bit words; from four words up,
+# the master's mixing makes more hashmix calls than the pool has words
 SEED_MASTERS = [*range(10), *(s * 100_000 + i for s in (1, 3) for i in (0, 1, 39)),
-                2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 128 + 7]
+                2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 96 + 11, 2 ** 128 - 1, 2 ** 128 + 7]
 
 
 def seed_sequence_seed(master, index):
@@ -341,14 +342,23 @@ def seed_sequence_seed(master, index):
 
 @pytest.mark.parametrize("master", SEED_MASTERS)
 def test_trajectory_seeds_equal_seed_sequence(master):
-    # index ranges across the one-to-two-word edge and across a chunk edge
-    for start, stop in [(0, 2048), (2 ** 32 - 2, 2 ** 32 + 2), (8191, 8194)]:
+    # index ranges up to the last one-word index and across a chunk edge
+    for start, stop in [(0, 2048), (2 ** 32 - 4, 2 ** 32), (8191, 8194)]:
         seeds = _trajectory_seeds(master, start, stop)
         expected = [seed_sequence_seed(master, k) for k in range(start, stop)]
         assert seeds.dtype == np.uint64 and np.array_equal(seeds, expected)
     # the one-index case, also past uint64
     for k in (0, 2 ** 32, 2 ** 64 + 1):
         assert trajectory_seed(master, k) == int(seed_sequence_seed(master, k))
+
+
+def test_ensemble_rejects_more_than_2_pow_32_trajectories(monkeypatch):
+    def no_batch(*args):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr("collideq.trajectories._run_batch", no_batch)
+    with pytest.raises(InvalidParameter, match="n_trajectories"):
+        ensemble_mean_heat(cfg_ii(), GROUND_DM, 5, 2 ** 32 + 1, master_seed=1)
 
 
 def ket(index):
