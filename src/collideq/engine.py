@@ -329,11 +329,22 @@ class StepChannel:
 
     From :func:`embedded_step_channel`, ``superop`` is the cached collision
     core's read-only array, the same object every caller of that
-    configuration reads.
+    configuration reads. Any other ``superop`` is read as a complex array; one
+    that is not ``(dim^2, dim^2)`` raises :class:`DimensionMismatch`, and one
+    with a non-finite entry ``ValueError``.
     """
 
     register: QubitRegister
     superop: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        superop = np.asarray(self.superop, dtype=complex)  # the core's array itself, no copy
+        if superop.shape != (self.dim ** 2,) * 2:
+            raise DimensionMismatch(f"superoperator shape {superop.shape} does not match "
+                                    f"register dimension {self.dim}")
+        if not np.isfinite(superop).all():  # NaN passes every tolerance comparison
+            raise ValueError("superoperator has non-finite (NaN or inf) entries")
+        object.__setattr__(self, "superop", superop)
 
     @property
     def dim(self) -> int:
@@ -395,12 +406,15 @@ def steady_state(channel: StepChannel) -> DensityMatrix:
     """Unique fixed point of a trace-preserving one-step channel.
 
     ``S`` is split into the connected components of its exact nonzero
-    pattern (a dense ``S`` is one); for these collisions they are the
+    pattern (a dense ``S`` is one); for these collisions they lie inside the
     coherence-order blocks. One ``eigvals`` per component, every component
     alike, gives the moduli behind the peripheral count (more than one
-    raises :class:`NonUniqueSteadyState`) and the spectral gap. The
-    components holding a diagonal entry form the trace block, which must
-    hold the peripheral eigenvalue. There the fixed point
+    raises :class:`NonUniqueSteadyState`) and the spectral gap. The fixed
+    point lives on the one component holding the peripheral eigenvalue; if
+    that holds no diagonal entry, the fixed point is traceless, which raises
+    too. (Under a trace-preserving ``S`` the trace functional on a component
+    with diagonal entries is a left eigenvector of eigenvalue 1, so with a
+    unique fixed point no other component has any.) There the fixed point
     solves ``S - 1`` with its first row replaced by the trace functional and
     right-hand side ``e_0`` (singular: no unique unit-trace fixed point),
     cross-checked by power iteration to a tolerance that widens from 1e-12
@@ -413,24 +427,20 @@ def steady_state(channel: StepChannel) -> DensityMatrix:
     """
     superop = channel.superop
     d = channel.dim
-    on_diagonal = np.zeros(d * d, dtype=bool)
-    on_diagonal[::d + 1] = True
-    moduli, trace_block, trace_moduli = [], [], []
-    for block in connected_blocks(superop != 0):
-        m = np.abs(np.linalg.eigvals(superop[block[:, None], block]))
+    moduli, block = [], None
+    for b in connected_blocks(superop != 0):
+        m = np.abs(np.linalg.eigvals(superop[b[:, None], b]))
         moduli.append(m)
-        if on_diagonal[block].any():
-            trace_block.append(block)
-            trace_moduli.append(m)
+        if np.any(m > 1.0 - _PERIPHERAL_TOL):
+            block = b
     moduli = np.sort(np.concatenate(moduli))[::-1]
     peripheral = int(np.sum(moduli > 1.0 - _PERIPHERAL_TOL))
     if peripheral != 1:
         raise NonUniqueSteadyState(max(peripheral, 2))
-    if not np.any(np.concatenate(trace_moduli) > 1.0 - _PERIPHERAL_TOL):
+    trace_vec = (block % (d + 1) == 0).astype(complex)  # the diagonal: vec indices i (d + 1)
+    if not trace_vec.any():
         raise NonUniqueSteadyState(2)  # the fixed point is traceless
-    block = np.sort(np.concatenate(trace_block))
     sub = superop[block[:, None], block]
-    trace_vec = on_diagonal[block].astype(complex)
     bordered = sub - np.eye(len(block))
     bordered[0] = trace_vec
     rhs = np.zeros(len(block), dtype=complex)

@@ -12,7 +12,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
 
@@ -248,16 +247,15 @@ def connected_blocks(pattern: np.ndarray) -> List[np.ndarray]:
     label's label, until nothing changes; the labels left are the
     components' smallest indices. Blocks come in that order, each ascending
     and read-only: the partitions of the last few patterns are kept, keyed
-    by the packed pattern, and a pattern seen again reuses its partition.
+    by the pattern's raw bytes, and a pattern seen again reuses its partition.
     """
     pattern = np.asarray(pattern, dtype=bool)
-    return list(_components(pattern.shape, np.packbits(pattern).tobytes()))
+    return list(_components(pattern.shape, pattern.tobytes()))
 
 
 @functools.lru_cache(maxsize=16)
-def _components(shape: Tuple[int, ...], packed: bytes) -> Tuple[np.ndarray, ...]:
-    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=math.prod(shape))
-    pattern = bits.reshape(shape).astype(bool)
+def _components(shape: Tuple[int, ...], raw: bytes) -> Tuple[np.ndarray, ...]:
+    pattern = np.frombuffer(raw, dtype=bool).reshape(shape)
     n = len(pattern)
     linked = pattern | pattern.T | np.eye(n, dtype=bool)
     labels = np.arange(n)

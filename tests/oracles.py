@@ -1,5 +1,7 @@
 """Exact references that the tests compare the library against."""
 
+import math
+
 import numpy as np
 
 from collideq.metrics import nbar
@@ -115,6 +117,89 @@ def per_step_evolve(cfg, rho0, n_steps):
     q_intra_in = np.zeros((n_steps, cfg.n_baths))
     q_intra_in[1:] = heats[:-1, :, 2]
     return reads[1:, :4].reshape(n_steps, 2, 2), heats[:, :, 0], q_intra_in, heats[:, :, 1]
+
+
+def _apply_gate(rho, gate, axes):
+    """``G rho G^dag`` for ``gate`` on the qubits ``axes`` of the tensor ``rho``.
+
+    ``rho`` has one ket axis per qubit, then one bra axis per qubit, in the
+    same order; ``gate`` is ``(2^k, 2^k)`` with ``axes[0]`` most significant.
+    """
+    n, k = rho.ndim // 2, len(axes)
+    g = gate.reshape((2,) * (2 * k))
+    gate_in = list(range(k, 2 * k))
+    rho = np.moveaxis(np.tensordot(g, rho, (gate_in, axes)), range(k), axes)
+    bras = [a + n for a in axes]
+    return np.moveaxis(np.tensordot(rho, g.conj(), (bras, gate_in)), range(2 * n - k, 2 * n), bras)
+
+
+def explicit_chain(cfg, rho0, n_steps):
+    """``(states, q_sa, q_intra_in, q_intra_out)`` of ``evolve`` from an explicit ancilla chain.
+
+    The register is S plus ``n_steps + 1`` ancillas per bath, all born in
+    the bath's fresh state and all kept: no memory embedding, no engineered
+    SWAP, no compound. Step k applies the system collision to S and
+    ancilla k of every bath, then, per bath, the intra partial SWAP of angle
+    ``delta`` to ancillas k and k + 1; ancilla k then meets nothing more.
+    Setting I's collision is ``cos(J dt) 1 - i sin(J dt) SWAP``; setting
+    II's is ``exp(-i H dt)`` from one ``eigh`` of the Heisenberg sum ``H =
+    -(J0/2) (XX + YY + ZZ)_{S,A0} - (J1/2) (XX + YY + ZZ)_{S,A1}``. Every
+    gate acts on its own axes of the state tensor. The heats of row k are
+    the energy changes of ancilla k of each bath: ``q_intra_in`` across the
+    intra collision of step k - 1 (0 at k = 0, which meets no predecessor),
+    ``q_sa`` across the system collision and ``q_intra_out`` across its own
+    intra collision. The states are the system marginals after each step.
+    """
+    n_baths, n_anc = cfg.n_baths, n_steps + 1
+    n = 1 + n_baths * n_anc
+
+    def anc(bath, k):  # qubit of ancilla k of a bath; S is qubit 0
+        return 1 + bath * n_anc + k
+
+    paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+    swap = np.eye(4)[[0, 2, 1, 3]]
+
+    def partial_swap_gate(theta):
+        return math.cos(theta) * np.eye(4) - 1j * math.sin(theta) * swap
+
+    if n_baths == 1:
+        collision = partial_swap_gate(cfg.coupling_j * cfg.dt)
+    else:  # on (S, A0, A1)
+        h = sum(-0.5 * j * (np.kron(np.kron(p, p), np.eye(2)) if b == 0 else
+                            np.kron(p, np.kron(np.eye(2), p)))
+                for b, j in enumerate((cfg.coupling_j0, cfg.coupling_j1)) for p in paulis)
+        w, v = np.linalg.eigh(h)
+        collision = (v * np.exp(-1j * w * cfg.dt)) @ v.conj().T
+    intra = partial_swap_gate(cfg.delta)
+
+    fresh = [cfg.bath_state(b) for b in range(n_baths)]
+    rho = np.asarray(rho0, dtype=complex)
+    for b in range(n_baths):
+        for _ in range(n_anc):
+            rho = np.kron(rho, fresh[b])
+    rho = rho.reshape((2,) * (2 * n))
+    half_omega = 0.5 * cfg.omega
+    e_fresh = np.array([half_omega * (f[0, 0] - f[1, 1]).real for f in fresh])
+
+    kets, bras = list(range(n)), [n] + list(range(1, n))  # bras share every ket label but S's
+
+    def energies(rho, k):  # energy of ancilla k of every bath, from its populations
+        return np.array([half_omega * np.subtract(*np.einsum(rho, kets + kets, [anc(b, k)]).real)
+                         for b in range(n_baths)])
+
+    states = np.empty((n_steps, 2, 2), dtype=complex)
+    q_sa, q_intra_in, q_intra_out = (np.empty((n_steps, n_baths)) for _ in range(3))
+    for k in range(n_steps):
+        e_pre = energies(rho, k)
+        rho = _apply_gate(rho, collision, [0] + [anc(b, k) for b in range(n_baths)])
+        e_mid = energies(rho, k)
+        for b in range(n_baths):
+            rho = _apply_gate(rho, intra, [anc(b, k), anc(b, k + 1)])
+        e_post = energies(rho, k)
+        q_intra_in[k] = 0.0 if k == 0 else e_pre - e_fresh
+        q_sa[k], q_intra_out[k] = e_mid - e_pre, e_post - e_mid
+        states[k] = np.einsum(rho, kets + bras, [0, n])
+    return states, q_sa, q_intra_in, q_intra_out
 
 
 def covariant_blp(cfg, n_steps, thetas):

@@ -44,7 +44,13 @@ from collideq.tensor import (
     partial_trace,
     projector,
 )
-from oracles import all_births_step, damped_qubit, per_step_evolve, two_bath_markov
+from oracles import (
+    all_births_step,
+    damped_qubit,
+    explicit_chain,
+    per_step_evolve,
+    two_bath_markov,
+)
 
 HALF_PI = math.pi / 2
 
@@ -290,6 +296,33 @@ class TestMarkovianStep:
             markovian_channel(cfg_i(delta=0.3))
 
 
+class TestStepChannel:
+    def test_superop_of_the_wrong_size_raises(self):
+        with pytest.raises(DimensionMismatch, match=r"\(5, 5\)"):
+            StepChannel(QubitRegister(["S"]), np.eye(5, dtype=complex))
+
+    def test_non_square_superop_raises(self):
+        with pytest.raises(DimensionMismatch, match=r"\(4, 3\)"):
+            StepChannel(QubitRegister(["S"]), np.ones((4, 3), dtype=complex))
+
+    def test_non_finite_superop_raises(self):
+        superop = np.eye(4, dtype=complex)
+        superop[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            StepChannel(QubitRegister(["S"]), superop)
+
+    def test_nested_list_superop_is_read_as_an_array(self):
+        ch = StepChannel(QubitRegister(["S"]), np.diag([0.5, 0.2, 0.2, 1.0]).tolist())
+        assert ch.superop.dtype == complex
+        assert np.array_equal(steady_state(ch).mat, projector(1))
+
+    def test_core_array_is_kept_not_copied(self):
+        from collideq.engine import _step_ops
+
+        cfg = cfg_ii(beta=2.0, dt=0.1, delta=0.6 * HALF_PI)
+        assert embedded_step_channel(cfg).superop is _step_ops(cfg).superop
+
+
 class TestEmbeddedChannel:
     def test_trace_preserving(self):
         for cfg in (cfg_i(delta=0.5), cfg_ii(delta=0.9, dt=0.1)):
@@ -533,6 +566,39 @@ class TestSteadyState:
             steady_state(StepChannel(QubitRegister(["S"]), superop))
         assert err.value.multiplicity == 2
 
+    def test_fixed_point_outside_the_decaying_populations_block(self):
+        # not trace preserving: the populations 00 and 11 are blocks of their
+        # own, and only 11 holds the simple eigenvalue 1, with eigenvector
+        # |1><1|; solving on a union of every diagonal block would put the
+        # decaying 00 entry in the bordered system's first row, a singular system
+        ch = StepChannel(QubitRegister(["S"]), np.diag([0.5, 0.2, 0.2, 1.0]).astype(complex))
+        assert np.abs(steady_state(ch).mat - projector(1)).max() <= 1e-15
+
+    @pytest.mark.parametrize("setting", ["I", "II"])
+    @pytest.mark.parametrize("beta", [0.5, 2.0, math.inf])
+    @pytest.mark.parametrize("dt", [0.01, 0.3])
+    @pytest.mark.parametrize("delta", [0.0, 0.6 * HALF_PI, 0.95 * HALF_PI])
+    def test_one_block_holds_the_diagonal_and_the_peripheral_eigenvalue(self, setting, beta,
+                                                                       dt, delta):
+        # the step is trace preserving, so the trace functional on each block
+        # holding a diagonal entry is a left eigenvector of eigenvalue 1; with
+        # a unique fixed point exactly one block holds diagonal entries, and
+        # it is the block of the peripheral eigenvalue that steady_state solves on
+        from collideq.tensor import connected_blocks
+
+        ch = embedded_step_channel(ModelConfig(beta=beta, dt=dt, delta=delta, setting=setting))
+        superop, d = ch.superop, ch.dim
+        blocks = connected_blocks(superop != 0)
+        holders = [b for b in blocks if np.any(b % (d + 1) == 0)]
+        assert len(holders) == 1
+        (block,) = holders
+        trace_vec = (block % (d + 1) == 0).astype(float)
+        assert trace_vec.sum() == d
+        assert np.abs(trace_vec @ superop[np.ix_(block, block)] - trace_vec).max() <= 1e-14
+        peripheral = [b for b in blocks
+                      if np.abs(np.linalg.eigvals(superop[np.ix_(b, b)])).max() > 1.0 - 1e-9]
+        assert len(peripheral) == 1 and peripheral[0] is block
+
     def test_nonpositive_fixed_point_raises(self):
         ch = StepChannel(QubitRegister(["S"]), replace_by(np.diag([1.5, -0.5])))
         with pytest.raises(NumericalPositivityError, match="-5.000e-01"):
@@ -747,6 +813,22 @@ class TestEvolve:
                 assert abs(closure) < 1e-10
                 e_s, e_m = e_s2, e_m2
                 pending_in = q_in_next
+
+    @pytest.mark.parametrize("setting", ["I", "II"])
+    @pytest.mark.parametrize("beta", [0.5, 2.0, math.inf])
+    @pytest.mark.parametrize("dt", [0.1, 0.01])
+    @pytest.mark.parametrize("delta", [0.0, 0.6 * HALF_PI, 0.95 * HALF_PI])
+    def test_matches_explicit_ancilla_chain(self, setting, beta, dt, delta):
+        # every ancilla kept on its own axes: no memory embedding, no
+        # engineered SWAP; the deviation measured on this grid is at most
+        # 1.1e-15 (states) and 6.1e-16 (heats)
+        cfg = ModelConfig(beta=beta, dt=dt, delta=delta, setting=setting)
+        rho0 = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]])
+        n_steps = 6 if setting == "I" else 3
+        res = evolve(cfg, sys_dm(rho0), n_steps)
+        ref = explicit_chain(cfg, rho0, n_steps)
+        for name, expected in zip(("states", "q_sa", "q_intra_in", "q_intra_out"), ref):
+            assert np.abs(getattr(res, name) - expected).max() <= 5e-15, name
 
     def test_heats_match_explicit_compound_chain(self):
         # reference built from the public unitaries: attach fresh units,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from collideq.metrics import gibbs_qubit, nbar
-from oracles import damped_qubit
+from oracles import _apply_gate, damped_qubit
 
 # a start with populations off equilibrium and a coherence
 RHO0 = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]])
@@ -141,3 +141,20 @@ def test_ground_state_is_dark_at_zero_temperature(hamiltonian):
     ground = np.diag([0.0, 1.0]).astype(complex)
     states = damped_qubit(math.inf, 1.0, OMEGA, ground, TIMES, hamiltonian)
     assert np.array_equal(states, np.broadcast_to(ground, states.shape))
+
+
+@pytest.mark.parametrize("axes", [(3, 1), (0, 2, 3)], ids=["two-qubit", "three-qubit"])
+def test_gate_on_its_axes_is_the_embedded_conjugation(axes):
+    # the explicit chain's gate step, against the gate lifted to the whole
+    # register as one matrix
+    from collideq.tensor import QubitRegister, embed
+
+    rng = np.random.default_rng(33)
+    labels = ["q0", "q1", "q2", "q3"]
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    rho = a @ a.conj().T
+    gate, _ = np.linalg.qr(rng.normal(size=(2 ** len(axes),) * 2)
+                           + 1j * rng.normal(size=(2 ** len(axes),) * 2))
+    full = embed(gate, [labels[q] for q in axes], QubitRegister(labels))
+    out = _apply_gate(rho.reshape((2,) * 8), gate, list(axes)).reshape(16, 16)
+    assert np.abs(out - full @ rho @ full.conj().T).max() < 1e-13
