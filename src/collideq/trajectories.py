@@ -22,7 +22,7 @@ same variate slots as one bath at a time: bath 0 from its marginal Born
 weights, each later bath from its conditional given the earlier outcomes.
 Each bath's weights are one contraction over the branches that share the
 earlier outcomes, and the branch chosen last is kept. The births do not
-depend on the state and are drawn for all steps up front. Every product
+depend on the state and are sampled for all steps up front. Every product
 and sum is per trajectory, so a trajectory rounds the same at every batch
 size.
 
@@ -31,8 +31,12 @@ stream keyed by the first uint64 of numpy's SeedSequence(entropy=master_seed,
 spawn_key=(k,)). numpy mixes the master seed; the index stage is ported to
 uint32 arrays and runs for a whole chunk of indices at once, so an ensemble
 holds at most 2**32 trajectories. Every variate has a fixed (step, bath,
-purpose) slot in a pregenerated table, so adding diagnostics can never shift
-the sample sequence.
+purpose) slot in its trajectory's table, so adding diagnostics can never
+shift the sample sequence. A batch draws the tables a sub-block of
+trajectories at a time (a Philox stream is keyed per trajectory, so the
+bits do not depend on the sub-block) and keeps only what the step reads:
+the births, sampled as int8, the eigenstate draws, and the measurement
+variates, step-major.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ from .errors import InvalidParameter, NumericalPositivityError, _check_count, _i
 from .tensor import EXCITED, GROUND, DensityMatrix, QubitRegister
 
 _CHUNK = 8192
+# trajectories whose variate tables are drawn at once inside a batch; small
+# enough that a 400-trajectory batch splits, with no time cost seen at 8192
+_SUB_BLOCK = 64
 _PROB_TOL = 1e-10
 
 # variate-table purpose slots; row 0 has no measurement, so its slot 1
@@ -126,7 +133,9 @@ def _uniform_tables(seeds, n_steps: int, n_baths: int) -> np.ndarray:
     bath 0, the draw of the system's initial eigenstate of rho0 (slot 1);
     row n >= 1 holds the birth draw of the unit attached during step n
     (slot 0) and the second-measurement draw of step n (slot 1). Unconsumed
-    slots stay allocated so the layout never shifts.
+    slots stay allocated so the layout never shifts. A batch calls this one
+    sub-block of trajectories at a time and keeps only the slots its step
+    reads, with the measurement slots stored step-major, (n_steps, n_baths, B).
     """
     out = np.empty((len(seeds), n_steps + 1, n_baths, 2))
     # one Philox re-keyed per trajectory: the same stream as a fresh
@@ -176,8 +185,8 @@ def _check_probs(p: np.ndarray):
 
 
 def _sample(uniforms, p_exc) -> np.ndarray:
-    """Outcome EXCITED where the variate falls below its probability."""
-    return np.where(uniforms < p_exc, EXCITED, GROUND).astype(np.int8)
+    """Outcome EXCITED where the variate falls below its probability, as int8."""
+    return np.where(uniforms < p_exc, np.int8(EXCITED), np.int8(GROUND))
 
 
 def _initial_kets(rho0_s: np.ndarray, births: np.ndarray, uniforms) -> np.ndarray:
@@ -194,11 +203,22 @@ def _run_batch(cfg: ModelConfig, rho0_s: np.ndarray, n_steps: int, seeds) -> Tup
     """Propagate a batch of trajectories; returns (outcomes, heats, finals)."""
     ops = _step_ops(cfg)
     b, nb = len(seeds), cfg.n_baths
-    tables = _uniform_tables(seeds, n_steps, nb)
     rows = np.arange(b)
 
-    births = _sample(tables[..., _SLOT_BIRTH], ops.p_exc)
-    psi = _initial_kets(rho0_s, births[:, 0], tables[:, 0, 0, _SLOT_EIGEN]).reshape(b, -1)
+    # the whole batch's table never exists, so a batch needs about one table
+    # of memory, not two: a sub-block's births are sampled at once, and its
+    # measurement variates are kept step-major
+    births = np.empty((b, n_steps + 1, nb), dtype=np.int8)
+    eigen = np.empty(b)
+    measures = np.empty((n_steps, nb, b))
+    for lo in range(0, b, _SUB_BLOCK):
+        block = slice(lo, lo + _SUB_BLOCK)
+        tables = _uniform_tables(seeds[block], n_steps, nb)
+        births[block] = _sample(tables[..., _SLOT_BIRTH], ops.p_exc)
+        eigen[block] = tables[:, 0, 0, _SLOT_EIGEN]
+        measures[..., block] = tables[:, 1:, :, _SLOT_MEASURE].transpose(1, 2, 0)
+    del tables
+    psi = _initial_kets(rho0_s, births[:, 0], eigen).reshape(b, -1)
     outcomes = np.empty((b, n_steps, nb, 2), dtype=np.int8)
     outcomes[..., 0] = births[:, :-1]
     # birth combination of the units attached during each step, bath 0 most significant
@@ -219,13 +239,16 @@ def _run_batch(cfg: ModelConfig, rho0_s: np.ndarray, n_steps: int, seeds) -> Tup
             # bath 0's marginal unnormalized, later baths' conditionals
             p = marginal if norm is None else marginal / norm[:, None]
             _check_probs(p)
-            second = _sample(tables[:, n + 1, k, _SLOT_MEASURE], p[:, EXCITED])
+            second = _sample(measures[n, k], p[:, EXCITED])
             outcomes[:, n, k, 1] = second
             branches, norm = branches[rows, second], marginal[rows, second]
         # divided as floats: dividing the complex array would promote the divisor
         psi = (branches.view(float) / np.sqrt(norm)[:, None]).view(complex)
 
-    heats = cfg.omega * (outcomes[..., 0].astype(float) - outcomes[..., 1])
+    del measures
+    # the int8 difference is exact; a float omega makes the heats float64
+    # whatever omega's own type, an int would keep them int8
+    heats = float(cfg.omega) * (outcomes[..., 0] - outcomes[..., 1])
     psi = psi.reshape(b, 2, -1)
     finals = np.einsum("bik,bjk->bij", psi, psi.conj())
     return outcomes, heats, finals
@@ -270,7 +293,8 @@ def ensemble_mean_heat(cfg: ModelConfig, rho0_s: DensityMatrix, n_steps: int,
         seeds = _trajectory_seeds(master_seed, start, stop)
         _, heats, finals = _run_batch(cfg, rho0, n_steps, seeds)
         sum_h += heats.sum(axis=0)
-        sum_h2 += (heats * heats).sum(axis=0)
+        # the batch's own heats, already summed, are squared in place
+        sum_h2 += np.multiply(heats, heats, out=heats).sum(axis=0)
         sum_fin += finals.sum(axis=0)
         sum_fin_re2 += (finals.real ** 2).sum(axis=0)
         sum_fin_im2 += (finals.imag ** 2).sum(axis=0)

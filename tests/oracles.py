@@ -119,6 +119,64 @@ def per_step_evolve(cfg, rho0, n_steps):
     return reads[1:, :4].reshape(n_steps, 2, 2), heats[:, :, 0], q_intra_in, heats[:, :, 1]
 
 
+def full_table_batch(cfg, rho0_s, n_steps, seeds):
+    """``(outcomes, heats, finals)`` of ``_run_batch`` from the whole variate table.
+
+    The batch draws every trajectory's ``(n_steps + 1, n_baths, 2)`` table
+    at once and reads it in place for the whole step loop, samples through
+    ``np.where`` and forms the heats from float outcomes, as ``_run_batch``
+    did before it drew its variates a sub-block of trajectories at a time
+    and kept only the slots the step reads. The step, the slots and every
+    product are the same, so the two agree bit for bit.
+    """
+    from collideq.engine import _step_ops
+    from collideq.tensor import EXCITED, GROUND
+    from collideq.trajectories import (
+        _SLOT_BIRTH,
+        _SLOT_EIGEN,
+        _SLOT_MEASURE,
+        _check_probs,
+        _initial_kets,
+        _uniform_tables,
+    )
+
+    def sample(uniforms, p_exc):
+        return np.where(uniforms < p_exc, EXCITED, GROUND).astype(np.int8)
+
+    ops = _step_ops(cfg)
+    b, nb = len(seeds), cfg.n_baths
+    tables = _uniform_tables(seeds, n_steps, nb)
+    rows = np.arange(b)
+
+    births = sample(tables[..., _SLOT_BIRTH], ops.p_exc)
+    psi = _initial_kets(rho0_s, births[:, 0], tables[:, 0, 0, _SLOT_EIGEN]).reshape(b, -1)
+    outcomes = np.empty((b, n_steps, nb, 2), dtype=np.int8)
+    outcomes[..., 0] = births[:, :-1]
+    combos = births[:, 1:, 0]
+    for k in range(1, nb):
+        combos = 2 * combos + births[:, 1:, k]
+    shared = ops.joint[combos[0, 0]] if (combos == combos[0, 0]).all() else None
+    for n in range(n_steps):
+        g = shared if shared is not None else ops.joint[combos[:, n]]
+        branches = np.matmul(g, psi[:, :, None])
+        norm = None
+        for k in range(nb):
+            branches = branches.reshape(b, 2, -1)
+            x = branches.view(float)
+            marginal = np.einsum("bor,bor->bo", x, x)
+            p = marginal if norm is None else marginal / norm[:, None]
+            _check_probs(p)
+            second = sample(tables[:, n + 1, k, _SLOT_MEASURE], p[:, EXCITED])
+            outcomes[:, n, k, 1] = second
+            branches, norm = branches[rows, second], marginal[rows, second]
+        psi = (branches.view(float) / np.sqrt(norm)[:, None]).view(complex)
+
+    heats = cfg.omega * (outcomes[..., 0].astype(float) - outcomes[..., 1])
+    psi = psi.reshape(b, 2, -1)
+    finals = np.einsum("bik,bjk->bij", psi, psi.conj())
+    return outcomes, heats, finals
+
+
 def _apply_gate(rho, gate, axes):
     """``G rho G^dag`` for ``gate`` on the qubits ``axes`` of the tensor ``rho``.
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,16 +24,19 @@ from collideq.tensor import (
     projector,
 )
 from collideq.trajectories import (
+    _SUB_BLOCK,
     EnsembleStats,
     TrajectoryRecord,
     _check_probs,
     _run_batch,
+    _sample,
     _trajectory_seeds,
     _uniform_tables,
     ensemble_mean_heat,
     run_trajectory,
     trajectory_seed,
 )
+from oracles import full_table_batch
 
 HALF_PI = math.pi / 2
 
@@ -44,6 +48,7 @@ def sys_dm(mat):
 GROUND_DM = sys_dm(projector(1))
 EXCITED_DM = sys_dm(projector(0))
 MIXED_DM = sys_dm([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+PLUS_Y_DM = sys_dm([[0.5, -0.5j], [0.5j, 0.5]])  # pure, off the energy basis
 
 # (setting, start) cases of the ensemble-vs-unconditional checks
 ENSEMBLE_CASES = pytest.mark.parametrize(
@@ -151,6 +156,19 @@ class TestEnsemble:
                 assert np.array_equal(rec.outcomes, outcomes[k])
                 assert np.array_equal(rec.heats, heats[k])
                 assert np.array_equal(rec.final_system_state.mat, finals[k])
+
+    def test_members_at_sub_block_edges_bit_identical_to_single_runs(self):
+        # the last member of a sub-block and the first two of the next, at
+        # the first edge and at the eighth
+        cfg = cfg_i(beta=0.5, dt=0.3, delta=0.6)
+        seeds = _trajectory_seeds(5, 0, 1100)
+        outcomes, heats, finals = _run_batch(cfg, MIXED_DM.mat, 40, seeds)
+        for k in (_SUB_BLOCK - 1, _SUB_BLOCK, _SUB_BLOCK + 1,
+                  8 * _SUB_BLOCK - 1, 8 * _SUB_BLOCK, 8 * _SUB_BLOCK + 1):
+            rec = run_trajectory(cfg, MIXED_DM, 40, seed=seeds[k])
+            assert np.array_equal(rec.outcomes, outcomes[k])
+            assert np.array_equal(rec.heats, heats[k])
+            assert np.array_equal(rec.final_system_state.mat, finals[k])
 
     def test_ensemble_determinism(self):
         cfg = cfg_ii()
@@ -298,6 +316,76 @@ def test_fig5_outcomes_pinned(start):
     outcomes = _run_batch(cfg, rho0.mat, 100, seeds)[0]
     assert outcomes.dtype == np.int8 and outcomes.shape == (64, 100, 2, 2)
     assert hashlib.sha256(outcomes.tobytes()).hexdigest() == GOLDEN_OUTCOMES[start]
+
+
+# batch sizes inside one sub-block, at its edge and across many edges
+SUB_BLOCK_SIZES = [1, _SUB_BLOCK - 1, _SUB_BLOCK, _SUB_BLOCK + 1, 1100]
+
+
+@pytest.mark.parametrize("n_steps", [1, 40])
+@pytest.mark.parametrize("size", SUB_BLOCK_SIZES)
+@pytest.mark.parametrize("rho0", [GROUND_DM, MIXED_DM, PLUS_Y_DM], ids=["ground", "mixed", "plus-y"])
+@pytest.mark.parametrize("cfg", [cfg_i(beta=2.0, dt=0.1, delta=0.95 * HALF_PI),
+                                 cfg_ii(beta=1.0, dt=0.1)], ids=["I", "II"])
+def test_run_batch_equals_full_table_oracle(cfg, rho0, size, n_steps):
+    # setting I's thermal births differ between trajectories, so a batch of
+    # more than one gathers each trajectory's joint operator
+    seeds = _trajectory_seeds(11, 0, size)
+    got = _run_batch(cfg, rho0.mat, n_steps, seeds)
+    expected = full_table_batch(cfg, rho0.mat, n_steps, seeds)
+    for name, a, e in zip(("outcomes", "heats", "finals"), got, expected):
+        assert a.dtype == e.dtype, name
+        assert np.array_equal(a, e), name
+
+
+def test_batch_peak_memory_within_its_variate_table():
+    # the batch keeps the births, the eigenstate draws and the measurement
+    # variates, never every trajectory's whole table at once; a batch that
+    # held the whole table through the step loop peaked near twice its size
+    cfg = cfg_ii(beta=1.0, dt=0.1)
+    n_steps, seeds = 100, _trajectory_seeds(8, 0, 2048)
+    _run_batch(cfg, GROUND_DM.mat, n_steps, seeds[:4])  # builds the cached step
+    tracemalloc.start()
+    try:
+        _run_batch(cfg, GROUND_DM.mat, n_steps, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = len(seeds) * (n_steps + 1) * cfg.n_baths * 2 * 8
+    assert peak <= 1.25 * table, f"peak {peak / table:.3f} x the variate table"
+
+
+def test_sample_is_int8_excited_below_probability_else_ground():
+    values = [0.0, 0.25, 0.5, 1.0, math.inf, -math.inf, math.nan]
+    u, p = np.array(list(itertools.product(values, repeat=2))).T
+    outcomes = _sample(u, p)
+    assert outcomes.dtype == np.int8
+    assert np.array_equal(outcomes, np.where(u < p, EXCITED, GROUND))
+    # a NaN variate or probability compares false: GROUND
+    assert np.all(outcomes[np.isnan(u) | np.isnan(p)] == GROUND)
+    # the births' broadcast: one probability per bath
+    tables = np.random.default_rng(3).random((4, 6, 2))
+    births = _sample(tables, np.array([0.3, math.nan]))
+    assert births.dtype == np.int8 and births.shape == (4, 6, 2)
+    assert np.array_equal(births, np.where(tables < [0.3, math.nan], EXCITED, GROUND))
+
+
+@pytest.mark.parametrize("omega", [12, 128])
+def test_integer_omega_gives_the_float_omega_heats(omega):
+    # the outcomes are int8: heats formed with an int omega would stay int8,
+    # and their squares would wrap from |omega| = 12 on; beta * omega = 1
+    # keeps the thermal births, so heats of both signs occur
+    as_int, as_float = (ModelConfig(beta=1.0 / omega, dt=0.1, omega=w, delta=0.95 * HALF_PI,
+                                    setting="I") for w in (omega, float(omega)))
+    rec_int = run_trajectory(as_int, MIXED_DM, 30, seed=4)
+    rec_float = run_trajectory(as_float, MIXED_DM, 30, seed=4)
+    assert rec_int.heats.dtype == np.float64
+    assert np.array_equal(rec_int.heats, rec_float.heats)
+    stats_int = ensemble_mean_heat(as_int, MIXED_DM, 30, 200, master_seed=4)
+    stats_float = ensemble_mean_heat(as_float, MIXED_DM, 30, 200, master_seed=4)
+    for name in ("mean_heat", "std_error", "mean_final_state", "se_final_state"):
+        assert np.array_equal(getattr(stats_int, name), getattr(stats_float, name)), name
+    assert np.all(stats_int.std_error > 0)
 
 
 @pytest.mark.parametrize("p", [
