@@ -56,6 +56,7 @@ SETTING_II = "II"
 
 _PERIPHERAL_TOL = 1e-9      # unit-circle degeneracy threshold
 _FIXED_POINT_TOL = 1e-12    # residual bound for the returned fixed point
+_HERMITICITY_TOL = 1e-12    # how far a channel entry's mirror may miss its conjugate
 _EVOLVE_CHUNK = 128         # compounds ``evolve`` steps into one buffer before reading them
 _MAX_DOUBLINGS = 60         # power iteration squarings: up to 2^60 channel applications
 
@@ -323,6 +324,80 @@ def _system_matrix(rho_s: DensityMatrix) -> np.ndarray:
     return rho_s.mat
 
 
+@functools.lru_cache(maxsize=4)
+def _mirror_pairs(d: int):
+    """``(p, q)``: flat indices of each entry of a ``(d^2, d^2)`` matrix and of its mirror.
+
+    The mirror of entry ((i, j), (k, l)) is ((j, i), (l, k)): vec(|i><j|)
+    read as vec(|j><i|) on both sides. Each pair comes once, entries that
+    are their own mirror (i = j and k = l) included.
+    """
+    mirror = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    image = (mirror[:, None] * (d * d) + mirror).reshape(-1)
+    p = np.flatnonzero(np.arange(d ** 4) <= image)
+    return _read_only(p, image[p])
+
+
+@functools.lru_cache(maxsize=4)
+def _hermitian_coordinates(d: int) -> np.ndarray:
+    """The vec indices of X_kk, then of X_kl over k < l, then of X_lk over k < l.
+
+    The Hermitian coordinates of a d x d Hermitian X are the d^2 reals X_kk,
+    then Re X_kl, then Im X_kl over k < l in ``np.triu_indices`` order: the
+    first d are the diagonal, and the first d (d + 1) / 2 of these indices
+    are the entries they read.
+    """
+    k, l = np.triu_indices(d, 1)
+    return _read_only(np.concatenate((np.arange(d) * (d + 1), k * d + l, l * d + k)))[0]
+
+
+def _hermitian_superop(superop: np.ndarray, d: int) -> np.ndarray:
+    """The real matrix of a Hermiticity-preserving ``superop`` on Hermitian coordinates.
+
+    Its columns are the images of |k><k|, |k><l| + |l><k| and
+    i|k><l| - i|l><k|, read on the image's diagonal and upper triangle. It
+    is ``superop`` on the real space of Hermitian matrices, so it has the
+    same spectrum; a block of ``superop`` and its mirror block share their
+    coordinates.
+    """
+    vec = _hermitian_coordinates(d)
+    n = d * (d + 1) // 2
+    rows = superop[vec[:n]][:, vec]
+    kl, lk = rows[:, d:n], rows[:, n:]
+    image = np.concatenate((rows[:, :d], kl + lk, 1j * (kl - lk)), axis=1)
+    return np.concatenate((image.real, image[d:].imag))
+
+
+@functools.lru_cache(maxsize=16)
+def _spectral_blocks(d: int, raw: bytes):
+    """``(blocks of S, blocks of R)`` from the raw nonzero pattern of ``S``.
+
+    The blocks of S are the connected components of its pattern. R, the
+    matrix of S on Hermitian coordinates, is split along the same pattern:
+    its entry in the coordinates of (k, l) and (m, n) combines S's entries
+    in row kl at columns mn and nm, so it is 0 wherever both are, and each
+    +-k pair of coherence-order blocks of S is one block of R. (An entry of
+    R that cancels to 0 leaves its block whole.) A grid of cells with one
+    pattern finds both partitions once.
+    """
+    pattern = np.frombuffer(raw, dtype=bool).reshape(d * d, d * d)
+    vec = _hermitian_coordinates(d)
+    n = d * (d + 1) // 2
+    rows = pattern[vec[:n]][:, vec]
+    pair = rows[:, d:n] | rows[:, n:]
+    read = np.concatenate((rows[:, :d], pair, pair), axis=1)
+    return connected_blocks(pattern), connected_blocks(np.concatenate((read, read[d:])))
+
+
+def _hermitian_matrix(x: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian d x d matrix of the real coordinate vector ``x``."""
+    n = d * (d + 1) // 2
+    upper = x[d:n] + 1j * x[n:]
+    mat = np.empty(d * d, dtype=complex)
+    mat[_hermitian_coordinates(d)] = np.concatenate((x[:d], upper, upper.conj()))
+    return mat.reshape(d, d)
+
+
 @dataclass(frozen=True, eq=False)
 class StepChannel:
     """One-collision CPTP map as a superoperator on row-major vectorized states.
@@ -330,8 +405,12 @@ class StepChannel:
     From :func:`embedded_step_channel`, ``superop`` is the cached collision
     core's read-only array, the same object every caller of that
     configuration reads. Any other ``superop`` is read as a complex array; one
-    that is not ``(dim^2, dim^2)`` raises :class:`DimensionMismatch`, and one
-    with a non-finite entry ``ValueError``.
+    that is not ``(dim^2, dim^2)`` raises :class:`DimensionMismatch`, one
+    with a non-finite entry ``ValueError``, and so does one that does not
+    preserve Hermiticity, ``S(X^dag) = S(X)^dag``, to 1e-12 in the real and
+    imaginary part of every entry: :func:`steady_state` reads the map on
+    Hermitian coordinates, where that makes it a real matrix. Every channel
+    this package builds passes.
     """
 
     register: QubitRegister
@@ -339,11 +418,22 @@ class StepChannel:
 
     def __post_init__(self):
         superop = np.asarray(self.superop, dtype=complex)  # the core's array itself, no copy
-        if superop.shape != (self.dim ** 2,) * 2:
+        d = self.dim
+        if superop.shape != (d * d,) * 2:
             raise DimensionMismatch(f"superoperator shape {superop.shape} does not match "
-                                    f"register dimension {self.dim}")
-        if not np.isfinite(superop).all():  # NaN passes every tolerance comparison
-            raise ValueError("superoperator has non-finite (NaN or inf) entries")
+                                    f"register dimension {d}")
+        # S(X^dag) = S(X)^dag: each mirror entry of S is the conjugate of its
+        # entry. So is each of S^T, which for a core's F-ordered array is a
+        # view. A NaN or inf entry leaves a deviation that fails `<=` too
+        flat = (superop if superop.flags.c_contiguous else superop.T).reshape(-1)
+        p, q = _mirror_pairs(d)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, reported below
+            dev = np.abs((flat[q] - flat[p].conj()).view(float)).max()
+        if not dev <= _HERMITICITY_TOL:
+            if not np.isfinite(superop).all():
+                raise ValueError("superoperator has non-finite (NaN or inf) entries")
+            raise ValueError(f"superoperator does not preserve Hermiticity: a mirror entry "
+                             f"misses the conjugate of its entry by {dev:.2e} (tolerance 1e-12)")
         object.__setattr__(self, "superop", superop)
 
     @property
@@ -351,8 +441,13 @@ class StepChannel:
         return self.register.dim
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
+        """``S(mat)`` for a ``(dim, dim)`` matrix; any other shape raises :class:`DimensionMismatch`."""
         d = self.dim
-        return (self.superop @ np.asarray(mat, dtype=complex).reshape(-1)).reshape(d, d)
+        mat = np.asarray(mat, dtype=complex)
+        if mat.shape != (d, d):
+            raise DimensionMismatch(f"matrix shape {mat.shape} does not match "
+                                    f"register dimension {d}")
+        return (self.superop @ mat.reshape(-1)).reshape(d, d)
 
 
 def embedded_step_channel(cfg: ModelConfig) -> StepChannel:
@@ -386,7 +481,7 @@ def _power_fixed_point(block: np.ndarray, trace_vec: np.ndarray) -> np.ndarray:
     for _ in range(_MAX_DOUBLINGS):
         w = b @ v
         tr = trace_vec @ w
-        if not np.isfinite(tr.real) or abs(tr) < 1e-300:
+        if not math.isfinite(tr.real) or abs(tr) < 1e-300:
             raise FixedPointError("power iteration lost the trace of the iterate")
         w = w / tr
         if np.abs(w - v).max() < 1e-15:
@@ -405,19 +500,26 @@ def _power_fixed_point(block: np.ndarray, trace_vec: np.ndarray) -> np.ndarray:
 def steady_state(channel: StepChannel) -> DensityMatrix:
     """Unique fixed point of a trace-preserving one-step channel.
 
-    ``S`` is split into the connected components of its exact nonzero
-    pattern (a dense ``S`` is one); for these collisions they lie inside the
-    coherence-order blocks. One ``eigvals`` per component, every component
-    alike, gives the moduli behind the peripheral count (more than one
-    raises :class:`NonUniqueSteadyState`) and the spectral gap. The fixed
-    point lives on the one component holding the peripheral eigenvalue; if
-    that holds no diagonal entry, the fixed point is traceless, which raises
-    too. (Under a trace-preserving ``S`` the trace functional on a component
-    with diagonal entries is a left eigenvector of eigenvalue 1, so with a
-    unique fixed point no other component has any.) There the fixed point
-    solves ``S - 1`` with its first row replaced by the trace functional and
-    right-hand side ``e_0`` (singular: no unique unit-trace fixed point),
-    cross-checked by power iteration to a tolerance that widens from 1e-12
+    The channel preserves Hermiticity (:class:`StepChannel` checks it), so
+    on Hermitian coordinates (the diagonal, then Re and Im of the upper
+    triangle) ``S`` is a real matrix ``R`` with the same spectrum. ``R`` is
+    split into blocks along the exact nonzero pattern of ``S`` (a dense
+    ``S`` gives one); for these collisions each pair of coherence-order
+    blocks +-k of ``S`` is one block of ``R``. One real ``eigvals`` per
+    block, every block alike, gives the moduli behind the peripheral count
+    (more than one raises :class:`NonUniqueSteadyState`) and the spectral
+    gap. The fixed point lives on the one block holding the peripheral
+    eigenvalue; if that holds no diagonal coordinate, the fixed point is
+    traceless, which raises too. (Under a trace-preserving ``S`` the trace
+    functional on a block with diagonal entries is a left eigenvector of
+    eigenvalue 1, so with a unique fixed point no other block has any.) The
+    fixed point solves, on the connected component of ``S``'s pattern that
+    holds those diagonal entries, ``S - 1`` with its first row
+    replaced by the trace functional and right-hand side ``e_0`` (singular:
+    no unique unit-trace fixed point). That solve stays complex: a real
+    solve on ``R`` would move the fixed point by about eps/gap, and at tiny
+    gaps that decides the sign of eigenvalues near 0. Power iteration on the
+    real block cross-checks it, to a tolerance that widens from 1e-12
     as the gap closes, since the fixed point of the floating-point ``S`` is
     only conditioned to eps/gap. Raises :class:`FixedPointError` when the
     residual under the full ``S`` exceeds 1e-12 or the two solutions
@@ -427,21 +529,24 @@ def steady_state(channel: StepChannel) -> DensityMatrix:
     """
     superop = channel.superop
     d = channel.dim
-    moduli, block = [], None
-    for b in connected_blocks(superop != 0):
-        m = np.abs(np.linalg.eigvals(superop[b[:, None], b]))
-        moduli.append(m)
-        if np.any(m > 1.0 - _PERIPHERAL_TOL):
-            block = b
-    moduli = np.sort(np.concatenate(moduli))[::-1]
-    peripheral = int(np.sum(moduli > 1.0 - _PERIPHERAL_TOL))
+    real = _hermitian_superop(superop, d)
+    complex_blocks, blocks = _spectral_blocks(d, (superop != 0).tobytes())
+    moduli = np.concatenate([np.abs(np.linalg.eigvals(real[b[:, None], b])) for b in blocks])
+    peripheral = int(np.count_nonzero(moduli > 1.0 - _PERIPHERAL_TOL))
     if peripheral != 1:
         raise NonUniqueSteadyState(max(peripheral, 2))
-    trace_vec = (block % (d + 1) == 0).astype(complex)  # the diagonal: vec indices i (d + 1)
-    if not trace_vec.any():
+    k = int(np.argmax(moduli))  # the moduli come block by block
+    for peripheral_block in blocks:
+        if k < len(peripheral_block):
+            break
+        k -= len(peripheral_block)
+    # the diagonal coordinates come first, and a block is ascending
+    if peripheral_block[0] >= d:
         raise NonUniqueSteadyState(2)  # the fixed point is traceless
-    sub = superop[block[:, None], block]
-    bordered = sub - np.eye(len(block))
+    first = peripheral_block[0] * (d + 1)  # vec index of that diagonal entry
+    block = next(b for b in complex_blocks if first in b)
+    trace_vec = (block % (d + 1) == 0).astype(complex)
+    bordered = superop[block[:, None], block] - np.eye(len(block))
     bordered[0] = trace_vec
     rhs = np.zeros(len(block), dtype=complex)
     rhs[0] = 1.0
@@ -449,20 +554,19 @@ def steady_state(channel: StepChannel) -> DensityMatrix:
         x = np.linalg.solve(bordered, rhs)
     except np.linalg.LinAlgError:
         raise NonUniqueSteadyState(2) from None
-
-    def unit_state(x):  # the d x d state with the block vector x, zero elsewhere
-        vec = np.zeros(d * d, dtype=complex)
-        vec[block] = x
-        rho = vec.reshape(d, d)
-        rho = 0.5 * (rho + rho.conj().T)
-        return rho / np.trace(rho).real
-
-    rho = unit_state(x)
+    vec = np.zeros(d * d, dtype=complex)
+    vec[block] = x
+    rho = vec.reshape(d, d)
+    rho = 0.5 * (rho + rho.conj().T)
+    rho = rho / np.trace(rho).real
     residual = np.abs(channel.apply(rho) - rho).max()
     if residual > _FIXED_POINT_TOL:
         raise FixedPointError(f"fixed-point residual {residual:.2e} exceeds 1e-12")
-    gap = 1.0 - moduli[1]
-    rho_pi = unit_state(_power_fixed_point(sub, trace_vec))
+    gap = 1.0 - np.sort(moduli)[-2]
+    coordinates = np.zeros(d * d)
+    coordinates[peripheral_block] = _power_fixed_point(
+        real[peripheral_block[:, None], peripheral_block], (peripheral_block < d).astype(float))
+    rho_pi = _hermitian_matrix(coordinates, d)
     tol = max(1e-12, 100.0 * np.finfo(float).eps / max(gap, 1e-15))
     dev = np.abs(rho - rho_pi).max()
     if not dev <= tol:  # written so NaN fails too

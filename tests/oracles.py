@@ -95,6 +95,66 @@ def all_births_step(cfg):
     return superop, np.array(rows, dtype=complex)
 
 
+def complex_block_steady_state(channel):
+    """``steady_state`` from the complex blocks of ``S`` itself.
+
+    The connected components of ``S``'s exact nonzero pattern, one complex
+    ``eigvals`` per component for the peripheral count and the gap; the
+    bordered solve on the component holding the peripheral eigenvalue, and
+    the power iteration cross-check on that same complex component. The
+    engine reads the spectrum and runs the iteration on the real matrix of
+    ``S`` on Hermitian coordinates, but solves on the same complex
+    component, so the two fixed points agree bit for bit.
+    """
+    from collideq.engine import _FIXED_POINT_TOL, _PERIPHERAL_TOL, _power_fixed_point
+    from collideq.errors import FixedPointError, NonUniqueSteadyState
+    from collideq.tensor import DensityMatrix, connected_blocks
+
+    superop = channel.superop
+    d = channel.dim
+    moduli, block = [], None
+    for b in connected_blocks(superop != 0):
+        m = np.abs(np.linalg.eigvals(superop[b[:, None], b]))
+        moduli.append(m)
+        if np.any(m > 1.0 - _PERIPHERAL_TOL):
+            block = b
+    moduli = np.sort(np.concatenate(moduli))[::-1]
+    peripheral = int(np.sum(moduli > 1.0 - _PERIPHERAL_TOL))
+    if peripheral != 1:
+        raise NonUniqueSteadyState(max(peripheral, 2))
+    trace_vec = (block % (d + 1) == 0).astype(complex)
+    if not trace_vec.any():
+        raise NonUniqueSteadyState(2)
+    sub = superop[block[:, None], block]
+    bordered = sub - np.eye(len(block))
+    bordered[0] = trace_vec
+    rhs = np.zeros(len(block), dtype=complex)
+    rhs[0] = 1.0
+    try:
+        x = np.linalg.solve(bordered, rhs)
+    except np.linalg.LinAlgError:
+        raise NonUniqueSteadyState(2) from None
+
+    def unit_state(x):
+        vec = np.zeros(d * d, dtype=complex)
+        vec[block] = x
+        rho = vec.reshape(d, d)
+        rho = 0.5 * (rho + rho.conj().T)
+        return rho / np.trace(rho).real
+
+    rho = unit_state(x)
+    residual = np.abs(channel.apply(rho) - rho).max()
+    if residual > _FIXED_POINT_TOL:
+        raise FixedPointError(f"fixed-point residual {residual:.2e} exceeds 1e-12")
+    gap = 1.0 - moduli[1]
+    rho_pi = unit_state(_power_fixed_point(sub, trace_vec))
+    tol = max(1e-12, 100.0 * np.finfo(float).eps / max(gap, 1e-15))
+    dev = np.abs(rho - rho_pi).max()
+    if not dev <= tol:
+        raise FixedPointError(f"bordered solve and power iteration disagree by {dev:.2e}")
+    return DensityMatrix(channel.register, rho)
+
+
 def per_step_evolve(cfg, rho0, n_steps):
     """``(states, q_sa, q_intra_in, q_intra_out)`` of ``evolve`` from a per-step loop.
 

@@ -101,7 +101,7 @@ class TestSteadyState:
     def test_fixed_point_failure_flagged_not_fatal(self, tmp_path, monkeypatch):
         # eigenvalue-1 vector of trace 1e-10: the fixed-point residual bound fails
         v = np.array([[5e-11, 1.0], [1.0, 5e-11]], dtype=complex).reshape(-1)
-        w = np.array([1.0, 0.3, 0.2, 1.0])
+        w = np.array([1.0, 0.25, 0.25, 1.0])
         break_first_cell(monkeypatch, np.outer(v, w) / (w @ v))
         out = tmp_path / "ss.csv"
         code = run_cli(["heat", "--setting", "II", "--beta", "2",

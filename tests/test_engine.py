@@ -46,6 +46,7 @@ from collideq.tensor import (
 )
 from oracles import (
     all_births_step,
+    complex_block_steady_state,
     damped_qubit,
     explicit_chain,
     per_step_evolve,
@@ -53,6 +54,13 @@ from oracles import (
 )
 
 HALF_PI = math.pi / 2
+
+# settings I/II x beta x dt x delta / (pi/2): the grid on which the
+# Hermitian-coordinate spectrum is compared with the complex blocks of S
+SPECTRUM_GRID = pytest.mark.parametrize(
+    "setting, beta, dt, x",
+    [(setting, beta, dt, x) for setting in ("I", "II") for beta in (0.5, 2.0, 40.0, math.inf)
+     for dt in (1e-3, 0.01, 0.1, 0.5) for x in (0.0, 0.6, 0.95)])
 
 
 def sys_dm(mat):
@@ -311,6 +319,53 @@ class TestStepChannel:
         with pytest.raises(ValueError, match="non-finite"):
             StepChannel(QubitRegister(["S"]), superop)
 
+    @pytest.mark.parametrize("entry, value", [((1, 1), 0.5 + 1e-9), ((0, 3), 1e-9j),
+                                              ((1, 2), 1e-11)],
+                             ids=["mirror-real-part", "diagonal-imaginary", "just-above-tol"])
+    def test_superop_not_preserving_hermiticity_raises(self, entry, value):
+        # S(X^dag) = S(X)^dag fails when an entry misses its mirror's conjugate:
+        # ((0, 1), (0, 1)) against ((1, 0), (1, 0)), a population read off a
+        # population with an imaginary part, a coherence term without its twin
+        superop = np.diag([1.0, 0.5, 0.5, 1.0]).astype(complex)
+        superop[entry] = value
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            StepChannel(QubitRegister(["S"]), superop)
+
+    def test_superop_within_the_hermiticity_tolerance_is_kept(self):
+        superop = np.diag([1.0, 0.5, 0.5 + 0.9e-12, 1.0]).astype(complex)
+        assert StepChannel(QubitRegister(["S"]), superop).superop[2, 2] == 0.5 + 0.9e-12
+
+    def test_non_finite_entry_reports_non_finite_not_hermiticity(self):
+        # a NaN fails the mirror comparison too; the error names the NaN
+        superop = np.eye(4, dtype=complex)
+        superop[0, 0] = np.inf
+        superop[3, 3] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            StepChannel(QubitRegister(["S"]), superop)
+
+    def test_c_and_f_ordered_superops_are_checked_alike(self):
+        # the check reads S^T when S is F-ordered; a non-contiguous view is read too
+        superop = np.diag([1.0, 0.5, 0.5, 1.0]).astype(complex)
+        superop[1, 2] = 0.25
+        for arr in (superop, np.asfortranarray(superop), np.kron(superop, np.ones((1, 2)))[:, ::2]):
+            with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+                StepChannel(QubitRegister(["S"]), arr)
+        superop[2, 1] = 0.25
+        for arr in (superop, np.asfortranarray(superop), np.kron(superop, np.ones((1, 2)))[:, ::2]):
+            StepChannel(QubitRegister(["S"]), arr)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (4, 1), (2, 2, 1), (4, 4)])
+    def test_apply_to_a_matrix_of_the_wrong_shape_raises(self, shape):
+        # a vector with dim^2 entries used to be reshaped silently
+        ch = StepChannel(QubitRegister(["S"]), np.eye(4))
+        with pytest.raises(DimensionMismatch, match=r"does not match register dimension 2"):
+            ch.apply(np.ones(shape))
+
+    def test_apply_to_a_nested_list_matrix(self):
+        ch = embedded_step_channel(cfg_i(dt=0.1, delta=0.3))
+        rho = np.kron(gibbs_qubit(2.0, 1.0).mat, gibbs_qubit(2.0, 1.0).mat)
+        assert np.array_equal(ch.apply(rho.tolist()), ch.apply(rho))
+
     def test_nested_list_superop_is_read_as_an_array(self):
         ch = StepChannel(QubitRegister(["S"]), np.diag([0.5, 0.2, 0.2, 1.0]).tolist())
         assert ch.superop.dtype == complex
@@ -551,11 +606,14 @@ class TestSteadyState:
         assert np.abs(steady_state(ch).mat - ref).max() < tol
 
     def test_singular_bordered_system_nonunique(self):
-        # only the 01 coherence survives: eigenvalue 1 is simple but its
-        # eigenvector is traceless, so no unit-trace fixed point exists
-        ch = StepChannel(QubitRegister(["S"]), np.diag([0.5, 1.0, 0.5, 0.5]).astype(complex))
-        with pytest.raises(NonUniqueSteadyState):
-            steady_state(ch)
+        # populations decay by half, and the coherence block [[0.5, 0.5],
+        # [0.5, 0.5]] keeps X_01 + X_10: eigenvalue 1 is simple but its
+        # eigenvector sigma_x is traceless, so no unit-trace fixed point exists
+        superop = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+        superop[1:3, 1:3] = 0.5
+        with pytest.raises(NonUniqueSteadyState) as err:
+            steady_state(StepChannel(QubitRegister(["S"]), superop))
+        assert err.value.multiplicity == 2
 
     def test_traceless_fixed_point_in_trace_block_nonunique(self):
         # the populations' block holds the simple eigenvalue 1, but its
@@ -608,9 +666,9 @@ class TestSteadyState:
         # eigenvalue-1 vector of trace 1e-10: its unit-trace rescaling is
         # ~1e10 large and misses the fixed-point residual bound
         v = np.array([[5e-11, 1.0], [1.0, 5e-11]], dtype=complex).reshape(-1)
-        w = np.array([1.0, 0.3, 0.2, 1.0])
+        w = np.array([1.0, 0.25, 0.25, 1.0])  # equal coherence weights: Hermiticity preserved
         ch = StepChannel(QubitRegister(["S"]), np.outer(v, w) / (w @ v))
-        with pytest.raises(FixedPointError, match="residual"):
+        with pytest.raises(FixedPointError, match="residual 4.15e-08"):
             steady_state(ch)
 
     def test_cross_check_disagreement_raises(self, monkeypatch):
@@ -633,15 +691,108 @@ class TestSteadyState:
         assert np.abs(rho.mat - np.kron(g, g)).max() < 1e-12
 
 
-    def test_mirror_block_not_conjugate_gets_its_own_spectrum(self):
+    def test_mirror_block_not_conjugate_is_rejected(self):
         # the coherences |0><1| and |1><0| are mirror blocks, but this map
-        # does not preserve Hermiticity: the second keeps its coherence, so
-        # eigenvalue 1 is double; reusing the first's modulus 0.5 would miss it
+        # keeps the second and halves the first: it does not preserve
+        # Hermiticity, so its real matrix on Hermitian coordinates would not
+        # carry its spectrum (eigenvalue 1 is double); the channel is refused
         superop = np.diag([0.0, 0.5, 1.0, 0.0]).astype(complex)
         superop[np.ix_([0, 3], [0, 3])] = [[0.75, 0.25], [0.25, 0.75]]
-        with pytest.raises(NonUniqueSteadyState) as err:
-            steady_state(StepChannel(QubitRegister(["S"]), superop))
-        assert err.value.multiplicity == 2
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            StepChannel(QubitRegister(["S"]), superop)
+
+    @SPECTRUM_GRID
+    def test_fixed_point_equals_the_complex_block_oracle(self, setting, beta, dt, x):
+        # the spectrum and the power iteration run on Hermitian coordinates,
+        # the bordered solve on the same complex block of S: bit for bit
+        ch = embedded_step_channel(ModelConfig(beta=beta, dt=dt, delta=x * HALF_PI,
+                                               setting=setting))
+        got, ref = steady_state(ch).mat, complex_block_steady_state(ch).mat
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(ref.view(float)))
+
+    @staticmethod
+    def _block_spectra(superop, d):
+        """Sorted moduli of the blocks of S and of its real matrix R on Hermitian coordinates."""
+        from collideq.engine import _hermitian_superop
+        from collideq.tensor import connected_blocks
+
+        real = _hermitian_superop(superop, d)
+        assert real.dtype == float and real.shape == superop.shape
+        return [np.sort(np.concatenate([np.abs(np.linalg.eigvals(m[np.ix_(b, b)]))
+                                        for b in connected_blocks(m != 0)]))
+                for m in (superop, real)]
+
+    def _assert_same_spectrum(self, superop, d):
+        complex_moduli, real_moduli = self._block_spectra(superop, d)
+        assert np.abs(complex_moduli - real_moduli).max() <= 1e-13
+        for moduli in (complex_moduli, real_moduli):
+            assert np.count_nonzero(moduli > 1.0 - 1e-9) == 1
+        assert abs((1.0 - complex_moduli[-2]) - (1.0 - real_moduli[-2])) <= 1e-13
+
+    @SPECTRUM_GRID
+    def test_hermitian_coordinate_blocks_carry_the_spectrum_of_s(self, setting, beta, dt, x):
+        ch = embedded_step_channel(ModelConfig(beta=beta, dt=dt, delta=x * HALF_PI,
+                                               setting=setting))
+        self._assert_same_spectrum(ch.superop, ch.dim)
+
+    @pytest.mark.parametrize("setting", ["I", "II"])
+    @pytest.mark.parametrize("beta", [0.5, math.inf])
+    @pytest.mark.parametrize("x", [0.0, 0.6])
+    def test_blocks_of_r_pair_the_mirror_blocks_of_s(self, setting, beta, x):
+        # R is exactly 0 between its blocks, and each block reads the vec
+        # indices of one block of S and of its mirror block
+        from collideq.engine import _hermitian_coordinates, _hermitian_superop, _spectral_blocks
+
+        ch = embedded_step_channel(ModelConfig(beta=beta, dt=0.1, delta=x * HALF_PI,
+                                               setting=setting))
+        superop, d = ch.superop, ch.dim
+        complex_blocks, blocks = _spectral_blocks(d, (superop != 0).tobytes())
+        real = _hermitian_superop(superop, d)
+        inside = np.zeros(real.shape, dtype=bool)
+        for b in blocks:
+            inside[np.ix_(b, b)] = True
+        assert np.all(real[~inside] == 0)
+        vec = _hermitian_coordinates(d)
+        n = d * (d + 1) // 2
+        mirror = np.arange(d * d).reshape(d, d).T.reshape(-1)
+        read = np.concatenate((vec[:n], vec[d:n]))  # coordinate -> the entry it reads
+        for b in blocks:
+            entries = set(read[b]) | set(mirror[read[b]])
+            owners = [c for c in complex_blocks if entries & set(c)]
+            assert entries == set().union(*map(set, owners))
+            assert len(owners) <= 2
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_dense_random_channel_has_the_spectrum_of_s_on_hermitian_coordinates(self,
+                                                                                n_qubits):
+        # random Kraus operators with full support: one dense block each way
+        rng = np.random.default_rng(40 + n_qubits)
+        d = 2 ** n_qubits
+        k = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+        w, v = np.linalg.eigh(np.einsum("kji,kjl->il", k.conj(), k))
+        k = k @ (v / np.sqrt(w)) @ v.conj().T  # sum_k K^dag K = 1
+        superop = sum(np.kron(a, a.conj()) for a in k)
+        ch = StepChannel(QubitRegister([f"q{i}" for i in range(n_qubits)]), superop)
+        self._assert_same_spectrum(ch.superop, d)
+
+    @pytest.mark.parametrize("setting", ["I", "II"])
+    def test_hermitian_superop_is_the_channel_on_hermitian_coordinates(self, setting):
+        # R x, read back as a matrix, is S(X) for the Hermitian X of x
+        from collideq.engine import _hermitian_matrix, _hermitian_superop
+
+        ch = embedded_step_channel(ModelConfig(beta=2.0, dt=0.1, delta=0.6 * HALF_PI,
+                                               setting=setting))
+        d = ch.dim
+        k, l = np.triu_indices(d, 1)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            mat = a + a.conj().T
+            x = np.concatenate((mat.diagonal().real, mat[k, l].real, mat[k, l].imag))
+            assert np.array_equal(_hermitian_matrix(x, d), mat)
+            image = _hermitian_matrix(_hermitian_superop(ch.superop, d) @ x, d)
+            assert np.abs(image - ch.apply(mat)).max() <= 1e-14
 
     @pytest.mark.parametrize("setting", ["I", "II"])
     @pytest.mark.parametrize("beta", [0.5, 2.0, math.inf])
