@@ -16,15 +16,15 @@ bath attach a fresh unit, intra-collide it with the outgoing memory, measure
 the memory and discard it" is one linear map per joint outcome: the Kraus
 pair A_o = <o|_M U_intra |birth>_F of every bath, applied after the
 collision. The collision core stacks these maps over the joint outcomes, so
-one batched matmul forms every branch of a ket without leaving the
-system+memory dimension. The baths are then sampled in order, from the
-same variate slots as one bath at a time: bath 0 from its marginal Born
-weights, each later bath from its conditional given the earlier outcomes.
-Each bath's weights are one contraction over the branches that share the
-earlier outcomes, and the branch chosen last is kept. The births do not
-depend on the state and are sampled for all steps up front. Every product
-and sum is per trajectory, so a trajectory rounds the same at every batch
-size.
+one batched matmul, into a buffer that every step reuses, forms every branch
+of a ket without leaving the system+memory dimension. The baths are then
+sampled in order, from the same variate slots as one bath at a time, each
+outcome written in place: bath 0 from its marginal Born weights, each later
+bath from its conditional given the earlier outcomes. Each bath's weights
+are one contraction over the branches that share the earlier outcomes, and
+one flat gather keeps the chosen branch. The births do not depend on the
+state and are sampled bath by bath, for all steps up front. Every product
+and sum is per trajectory, so a trajectory rounds the same at every batch size.
 
 Randomness is counter-based: trajectory k of an ensemble draws from a Philox
 stream keyed by the first uint64 of numpy's SeedSequence(entropy=master_seed,
@@ -48,7 +48,7 @@ import numpy as np
 
 from .engine import ModelConfig, _step_ops, _system_matrix
 from .errors import InvalidParameter, NumericalPositivityError, _check_count, _is_integer
-from .tensor import EXCITED, GROUND, DensityMatrix, QubitRegister
+from .tensor import EXCITED, DensityMatrix, QubitRegister
 
 _CHUNK = 8192
 # trajectories whose variate tables are drawn at once inside a batch; small
@@ -184,9 +184,16 @@ def _check_probs(p: np.ndarray):
         )
 
 
-def _sample(uniforms, p_exc) -> np.ndarray:
-    """Outcome EXCITED where the variate falls below its probability, as int8."""
-    return np.where(uniforms < p_exc, np.int8(EXCITED), np.int8(GROUND))
+def _sample(uniforms, p_exc, out=None) -> np.ndarray:
+    """Int8 outcome EXCITED (0) where the variate falls below its probability, else GROUND (1).
+
+    Written as ``not (u < p)`` through a bool view of ``out`` (a new array
+    if None), so a NaN on either side gives GROUND.
+    """
+    out = np.empty(np.broadcast(uniforms, p_exc).shape, np.int8) if out is None else out
+    flags = out.view(np.bool_)
+    np.logical_not(np.less(uniforms, p_exc, out=flags), out=flags)
+    return out
 
 
 def _initial_kets(rho0_s: np.ndarray, births: np.ndarray, uniforms) -> np.ndarray:
@@ -203,18 +210,18 @@ def _run_batch(cfg: ModelConfig, rho0_s: np.ndarray, n_steps: int, seeds) -> Tup
     """Propagate a batch of trajectories; returns (outcomes, heats, finals)."""
     ops = _step_ops(cfg)
     b, nb = len(seeds), cfg.n_baths
-    rows = np.arange(b)
 
     # the whole batch's table never exists, so a batch needs about one table
-    # of memory, not two: a sub-block's births are sampled at once, and its
-    # measurement variates are kept step-major
+    # of memory, not two: a sub-block's births are sampled bath by bath, and
+    # its measurement variates are kept step-major
     births = np.empty((b, n_steps + 1, nb), dtype=np.int8)
     eigen = np.empty(b)
     measures = np.empty((n_steps, nb, b))
     for lo in range(0, b, _SUB_BLOCK):
         block = slice(lo, lo + _SUB_BLOCK)
         tables = _uniform_tables(seeds[block], n_steps, nb)
-        births[block] = _sample(tables[..., _SLOT_BIRTH], ops.p_exc)
+        for k in range(nb):
+            _sample(tables[:, :, k, _SLOT_BIRTH], ops.p_exc[k], out=births[block, :, k])
         eigen[block] = tables[:, 0, 0, _SLOT_EIGEN]
         measures[..., block] = tables[:, 1:, :, _SLOT_MEASURE].transpose(1, 2, 0)
     del tables
@@ -226,10 +233,14 @@ def _run_batch(cfg: ModelConfig, rho0_s: np.ndarray, n_steps: int, seeds) -> Tup
     for k in range(1, nb):
         combos = 2 * combos + births[:, 1:, k]
     shared = ops.joint[combos[0, 0]] if (combos == combos[0, 0]).all() else None
+    # every step's product goes to one buffer; the kept branch of row i and
+    # outcome o is row 2i + o of the (2B, rest) view, gathered by one take
+    product = np.empty((b, ops.joint.shape[1], 1), dtype=complex)
+    even = np.arange(0, 2 * b, 2)
     for n in range(n_steps):
         g = shared if shared is not None else ops.joint[combos[:, n]]
         # stacked: one (B, d) @ (d, P) product would round by batch size
-        branches = np.matmul(g, psi[:, :, None])
+        branches = np.matmul(g, psi[:, :, None], out=product)
         # bath k: the branches that share the earlier outcomes, (B, o_k, rest)
         norm = None
         for k in range(nb):
@@ -239,9 +250,8 @@ def _run_batch(cfg: ModelConfig, rho0_s: np.ndarray, n_steps: int, seeds) -> Tup
             # bath 0's marginal unnormalized, later baths' conditionals
             p = marginal if norm is None else marginal / norm[:, None]
             _check_probs(p)
-            second = _sample(measures[n, k], p[:, EXCITED])
-            outcomes[:, n, k, 1] = second
-            branches, norm = branches[rows, second], marginal[rows, second]
+            kept = even + _sample(measures[n, k], p[:, EXCITED], out=outcomes[:, n, k, 1])
+            branches, norm = branches.reshape(2 * b, -1).take(kept, axis=0), marginal.take(kept)
         # divided as floats: dividing the complex array would promote the divisor
         psi = (branches.view(float) / np.sqrt(norm)[:, None]).view(complex)
 

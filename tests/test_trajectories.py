@@ -338,6 +338,12 @@ def test_run_batch_equals_full_table_oracle(cfg, rho0, size, n_steps):
         assert np.array_equal(a, e), name
 
 
+@pytest.mark.parametrize("rho0", [GROUND_DM, MIXED_DM], ids=["ground", "mixed"])
+def test_run_batch_equals_full_table_oracle_at_tpm_ensemble_shape(rho0):
+    # the tpm-ensemble workload's batch: the fig5 cell, 400 trajectories, 100 steps
+    test_run_batch_equals_full_table_oracle(cfg_ii(beta=1.0, dt=0.1), rho0, 400, 100)
+
+
 def test_batch_peak_memory_within_its_variate_table():
     # the batch keeps the births, the eigenstate draws and the measurement
     # variates, never every trajectory's whole table at once; a batch that
@@ -368,6 +374,21 @@ def test_sample_is_int8_excited_below_probability_else_ground():
     births = _sample(tables, np.array([0.3, math.nan]))
     assert births.dtype == np.int8 and births.shape == (4, 6, 2)
     assert np.array_equal(births, np.where(tables < [0.3, math.nan], EXCITED, GROUND))
+    # in place, as the step writes one outcome slot: a strided int8 view,
+    # NaN rows included, with every other slot left as it was
+    slots = np.full((len(u), 3, 2), 7, dtype=np.int8)
+    view = slots[:, 1, 1]
+    assert not view.flags.contiguous
+    assert _sample(u, p, out=view) is view
+    assert np.array_equal(view, outcomes)
+    assert np.all(view[np.isnan(u) | np.isnan(p)] == GROUND)
+    slots[:, 1, 1] = 7
+    assert np.all(slots == 7)
+    # and per bath, a scalar probability against a strided table slice
+    into = np.full((4, 6, 2), 7, dtype=np.int8)
+    for k, p_k in enumerate([0.3, math.nan]):
+        _sample(tables[:, :, k], p_k, out=into[:, :, k])
+    assert np.array_equal(into, births)
 
 
 @pytest.mark.parametrize("omega", [12, 128])
