@@ -370,15 +370,14 @@ def _hermitian_superop(superop: np.ndarray, d: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _spectral_blocks(d: int, raw: bytes):
-    """``(blocks of S, blocks of R)`` from the raw nonzero pattern of ``S``.
+    """The read-only blocks of R, the matrix of S on Hermitian coordinates.
 
-    The blocks of S are the connected components of its pattern. R, the
-    matrix of S on Hermitian coordinates, is split along the same pattern:
-    its entry in the coordinates of (k, l) and (m, n) combines S's entries
-    in row kl at columns mn and nm, so it is 0 wherever both are, and each
-    +-k pair of coherence-order blocks of S is one block of R. (An entry of
-    R that cancels to 0 leaves its block whole.) A grid of cells with one
-    pattern finds both partitions once.
+    ``raw`` is the raw nonzero pattern of ``S``. R's entry in the
+    coordinates of (k, l) and (m, n) combines S's entries in row kl at
+    columns mn and nm, so it is 0 wherever both are, and each +-k pair of
+    coherence-order blocks of S is one block of R. (An entry of R that
+    cancels to 0 leaves its block whole.) A grid of cells with one pattern
+    finds the partition once.
     """
     pattern = np.frombuffer(raw, dtype=bool).reshape(d * d, d * d)
     vec = _hermitian_coordinates(d)
@@ -386,7 +385,7 @@ def _spectral_blocks(d: int, raw: bytes):
     rows = pattern[vec[:n]][:, vec]
     pair = rows[:, d:n] | rows[:, n:]
     read = np.concatenate((rows[:, :d], pair, pair), axis=1)
-    return connected_blocks(pattern), connected_blocks(np.concatenate((read, read[d:])))
+    return _read_only(*connected_blocks(np.concatenate((read, read[d:]))))
 
 
 def _hermitian_matrix(x: np.ndarray, d: int) -> np.ndarray:
@@ -513,10 +512,11 @@ def steady_state(channel: StepChannel) -> DensityMatrix:
     traceless, which raises too. (Under a trace-preserving ``S`` the trace
     functional on a block with diagonal entries is a left eigenvector of
     eigenvalue 1, so with a unique fixed point no other block has any.) The
-    fixed point solves, on the connected component of ``S``'s pattern that
-    holds those diagonal entries, ``S - 1`` with its first row
-    replaced by the trace functional and right-hand side ``e_0`` (singular:
-    no unique unit-trace fixed point). That solve stays complex: a real
+    fixed point solves, on the vec indices that block's coordinates read
+    (the connected component of ``S``'s pattern through those diagonal
+    entries, its own mirror image), ``S - 1`` with its first row replaced by
+    the trace functional and right-hand side ``e_0`` (singular: no unique
+    unit-trace fixed point). That solve stays complex: a real
     solve on ``R`` would move the fixed point by about eps/gap, and at tiny
     gaps that decides the sign of eigenvalues near 0. Power iteration on the
     real block cross-checks it, to a tolerance that widens from 1e-12
@@ -530,7 +530,7 @@ def steady_state(channel: StepChannel) -> DensityMatrix:
     superop = channel.superop
     d = channel.dim
     real = _hermitian_superop(superop, d)
-    complex_blocks, blocks = _spectral_blocks(d, (superop != 0).tobytes())
+    blocks = _spectral_blocks(d, (superop != 0).tobytes())
     moduli = np.concatenate([np.abs(np.linalg.eigvals(real[b[:, None], b])) for b in blocks])
     peripheral = int(np.count_nonzero(moduli > 1.0 - _PERIPHERAL_TOL))
     if peripheral != 1:
@@ -543,8 +543,12 @@ def steady_state(channel: StepChannel) -> DensityMatrix:
     # the diagonal coordinates come first, and a block is ascending
     if peripheral_block[0] >= d:
         raise NonUniqueSteadyState(2)  # the fixed point is traceless
-    first = peripheral_block[0] * (d + 1)  # vec index of that diagonal entry
-    block = next(b for b in complex_blocks if first in b)
+    # the vec indices that the block's coordinates read, ascending: the
+    # component of S through its diagonal entries, its own mirror image
+    # (counted, not sorted: numpy's first integer sort maps 64 KB more of its
+    # code, which shows in a run's peak RSS)
+    block = np.flatnonzero(np.bincount(_hermitian_coordinates(d)[peripheral_block],
+                                       minlength=d * d))
     trace_vec = (block % (d + 1) == 0).astype(complex)
     bordered = superop[block[:, None], block] - np.eye(len(block))
     bordered[0] = trace_vec

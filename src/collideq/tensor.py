@@ -11,7 +11,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
 
@@ -245,17 +244,9 @@ def connected_blocks(pattern: np.ndarray) -> List[np.ndarray]:
     Indices i and j are linked when ``pattern[i, j]`` or ``pattern[j, i]``.
     Each index takes the smallest label among its neighbours, then its
     label's label, until nothing changes; the labels left are the
-    components' smallest indices. Blocks come in that order, each ascending
-    and read-only: the partitions of the last few patterns are kept, keyed
-    by the pattern's raw bytes, and a pattern seen again reuses its partition.
+    components' smallest indices. Blocks come in that order, each ascending.
     """
     pattern = np.asarray(pattern, dtype=bool)
-    return list(_components(pattern.shape, pattern.tobytes()))
-
-
-@functools.lru_cache(maxsize=16)
-def _components(shape: Tuple[int, ...], raw: bytes) -> Tuple[np.ndarray, ...]:
-    pattern = np.frombuffer(raw, dtype=bool).reshape(shape)
     n = len(pattern)
     linked = pattern | pattern.T | np.eye(n, dtype=bool)
     labels = np.arange(n)
@@ -265,11 +256,7 @@ def _components(shape: Tuple[int, ...], raw: bytes) -> Tuple[np.ndarray, ...]:
         if np.array_equal(nearest, labels):
             break
         labels = nearest
-    blocks = tuple(np.flatnonzero(labels == root)
-                   for root in np.flatnonzero(labels == np.arange(n)))
-    for block in blocks:
-        block.setflags(write=False)
-    return blocks
+    return [np.flatnonzero(labels == root) for root in np.flatnonzero(labels == np.arange(n))]
 
 
 def expm_i_hermitian(h, t: float):
