@@ -92,8 +92,8 @@ def _fmt(x) -> str:
 
 def _column(value, n_rows: int) -> List[str]:
     """A block's column as CSV fields: an array's entries, or a scalar once, ``n_rows`` times."""
-    if isinstance(value, np.ndarray):  # one format for the whole array, as _fmt picks per entry
-        return list(map("{:.12g}".format if value.dtype.kind == "f" else str, value.tolist()))
+    if isinstance(value, np.ndarray):
+        return list(map(_fmt, value.tolist()))
     return [_fmt(value)] * n_rows
 
 

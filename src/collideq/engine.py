@@ -325,20 +325,6 @@ def _system_matrix(rho_s: DensityMatrix) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _mirror_pairs(d: int):
-    """``(p, q)``: flat indices of each entry of a ``(d^2, d^2)`` matrix and of its mirror.
-
-    The mirror of entry ((i, j), (k, l)) is ((j, i), (l, k)): vec(|i><j|)
-    read as vec(|j><i|) on both sides. Each pair comes once, entries that
-    are their own mirror (i = j and k = l) included.
-    """
-    mirror = np.arange(d * d).reshape(d, d).T.reshape(-1)
-    image = (mirror[:, None] * (d * d) + mirror).reshape(-1)
-    p = np.flatnonzero(np.arange(d ** 4) <= image)
-    return _read_only(p, image[p])
-
-
-@functools.lru_cache(maxsize=4)
 def _hermitian_coordinates(d: int) -> np.ndarray:
     """The vec indices of X_kk, then of X_kl over k < l, then of X_lk over k < l.
 
@@ -388,15 +374,6 @@ def _spectral_blocks(d: int, raw: bytes):
     return _read_only(*connected_blocks(np.concatenate((read, read[d:]))))
 
 
-def _hermitian_matrix(x: np.ndarray, d: int) -> np.ndarray:
-    """The Hermitian d x d matrix of the real coordinate vector ``x``."""
-    n = d * (d + 1) // 2
-    upper = x[d:n] + 1j * x[n:]
-    mat = np.empty(d * d, dtype=complex)
-    mat[_hermitian_coordinates(d)] = np.concatenate((x[:d], upper, upper.conj()))
-    return mat.reshape(d, d)
-
-
 @dataclass(frozen=True, eq=False)
 class StepChannel:
     """One-collision CPTP map as a superoperator on row-major vectorized states.
@@ -407,9 +384,9 @@ class StepChannel:
     that is not ``(dim^2, dim^2)`` raises :class:`DimensionMismatch`, one
     with a non-finite entry ``ValueError``, and so does one that does not
     preserve Hermiticity, ``S(X^dag) = S(X)^dag``, to 1e-12 in the real and
-    imaginary part of every entry: :func:`steady_state` reads the map on
-    Hermitian coordinates, where that makes it a real matrix. Every channel
-    this package builds passes.
+    imaginary part of every entry, in any memory layout: :func:`steady_state`
+    reads the map's spectrum on Hermitian coordinates, where that makes it a
+    real matrix. Every channel this package builds passes.
     """
 
     register: QubitRegister
@@ -421,13 +398,13 @@ class StepChannel:
         if superop.shape != (d * d,) * 2:
             raise DimensionMismatch(f"superoperator shape {superop.shape} does not match "
                                     f"register dimension {d}")
-        # S(X^dag) = S(X)^dag: each mirror entry of S is the conjugate of its
-        # entry. So is each of S^T, which for a core's F-ordered array is a
-        # view. A NaN or inf entry leaves a deviation that fails `<=` too
-        flat = (superop if superop.flags.c_contiguous else superop.T).reshape(-1)
-        p, q = _mirror_pairs(d)
+        # S(X^dag) = S(X)^dag: the mirror ((j, i), (l, k)) of each entry
+        # ((i, j), (k, l)) of S is its conjugate, an axis swap of S read on
+        # (d, d, d, d). A NaN or inf entry leaves a deviation that fails `<=` too
+        entries = superop.reshape((d,) * 4)
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, reported below
-            dev = np.abs((flat[q] - flat[p].conj()).view(float)).max()
+            miss = entries.transpose(1, 0, 3, 2) - entries.conj()
+            dev = np.abs(miss.reshape(-1).view(float)).max()
         if not dev <= _HERMITICITY_TOL:
             if not np.isfinite(superop).all():
                 raise ValueError("superoperator has non-finite (NaN or inf) entries")
@@ -469,16 +446,16 @@ def markovian_channel(cfg: ModelConfig) -> StepChannel:
 def _power_fixed_point(block: np.ndarray, trace_vec: np.ndarray) -> np.ndarray:
     """Fixed point of ``block`` by power iteration from the maximally mixed state.
 
-    ``trace_vec`` is the trace functional on the block's indices. The
+    ``block`` is the submatrix of ``S`` that the bordered solve reads, and
+    ``trace_vec`` the trace functional on its indices. The
     iteration is accelerated by repeated squaring of the block, so the
     number of effective channel applications grows as 2^k. Iterates are
     trace-normalized and the squared matrix rescaled so that non-normal
     transient growth cannot overflow. Returns the unit-trace block vector.
     """
     v = trace_vec / trace_vec.sum()
-    b = block.copy()
     for _ in range(_MAX_DOUBLINGS):
-        w = b @ v
+        w = block @ v
         tr = trace_vec @ w
         if not math.isfinite(tr.real) or abs(tr) < 1e-300:
             raise FixedPointError("power iteration lost the trace of the iterate")
@@ -487,10 +464,10 @@ def _power_fixed_point(block: np.ndarray, trace_vec: np.ndarray) -> np.ndarray:
             v = w
             break
         v = w
-        b = b @ b
-        scale = np.abs(b).max()
+        block = block @ block
+        scale = np.abs(block).max()
         if scale > 1e100:
-            b = b / scale
+            block = block / scale
     if not np.all(np.isfinite(v)):
         raise FixedPointError("power iteration diverged")
     return v
@@ -518,8 +495,9 @@ def steady_state(channel: StepChannel) -> DensityMatrix:
     the trace functional and right-hand side ``e_0`` (singular: no unique
     unit-trace fixed point). That solve stays complex: a real
     solve on ``R`` would move the fixed point by about eps/gap, and at tiny
-    gaps that decides the sign of eigenvalues near 0. Power iteration on the
-    real block cross-checks it, to a tolerance that widens from 1e-12
+    gaps that decides the sign of eigenvalues near 0. ``R`` gives only the
+    spectrum and the block: power iteration on the same complex submatrix
+    of ``S`` cross-checks the solve, to a tolerance that widens from 1e-12
     as the gap closes, since the fixed point of the floating-point ``S`` is
     only conditioned to eps/gap. Raises :class:`FixedPointError` when the
     residual under the full ``S`` exceeds 1e-12 or the two solutions
@@ -550,7 +528,8 @@ def steady_state(channel: StepChannel) -> DensityMatrix:
     block = np.flatnonzero(np.bincount(_hermitian_coordinates(d)[peripheral_block],
                                        minlength=d * d))
     trace_vec = (block % (d + 1) == 0).astype(complex)
-    bordered = superop[block[:, None], block] - np.eye(len(block))
+    sub = superop[block[:, None], block]
+    bordered = sub - np.eye(len(block))
     bordered[0] = trace_vec
     rhs = np.zeros(len(block), dtype=complex)
     rhs[0] = 1.0
@@ -558,19 +537,20 @@ def steady_state(channel: StepChannel) -> DensityMatrix:
         x = np.linalg.solve(bordered, rhs)
     except np.linalg.LinAlgError:
         raise NonUniqueSteadyState(2) from None
-    vec = np.zeros(d * d, dtype=complex)
-    vec[block] = x
-    rho = vec.reshape(d, d)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
+
+    def unit_state(x):
+        vec = np.zeros(d * d, dtype=complex)
+        vec[block] = x
+        rho = vec.reshape(d, d)
+        rho = 0.5 * (rho + rho.conj().T)
+        return rho / np.trace(rho).real
+
+    rho = unit_state(x)
     residual = np.abs(channel.apply(rho) - rho).max()
     if residual > _FIXED_POINT_TOL:
         raise FixedPointError(f"fixed-point residual {residual:.2e} exceeds 1e-12")
     gap = 1.0 - np.sort(moduli)[-2]
-    coordinates = np.zeros(d * d)
-    coordinates[peripheral_block] = _power_fixed_point(
-        real[peripheral_block[:, None], peripheral_block], (peripheral_block < d).astype(float))
-    rho_pi = _hermitian_matrix(coordinates, d)
+    rho_pi = unit_state(_power_fixed_point(sub, trace_vec))
     tol = max(1e-12, 100.0 * np.finfo(float).eps / max(gap, 1e-15))
     dev = np.abs(rho - rho_pi).max()
     if not dev <= tol:  # written so NaN fails too

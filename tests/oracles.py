@@ -102,9 +102,9 @@ def complex_block_steady_state(channel):
     ``eigvals`` per component for the peripheral count and the gap; the
     bordered solve on the component holding the peripheral eigenvalue, and
     the power iteration cross-check on that same complex component. The
-    engine reads the spectrum and runs the iteration on the real matrix of
-    ``S`` on Hermitian coordinates, but solves on the same complex
-    component, so the two fixed points agree bit for bit.
+    engine shares this solve and cross-check, on the same complex component,
+    and differs only in its spectral pass, which reads the real matrix of
+    ``S`` on Hermitian coordinates; so the two fixed points agree bit for bit.
     """
     from collideq.engine import _FIXED_POINT_TOL, _PERIPHERAL_TOL, _power_fixed_point
     from collideq.errors import FixedPointError, NonUniqueSteadyState
