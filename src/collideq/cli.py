@@ -6,8 +6,11 @@ row, then data rows ordered by grid iteration. Output is byte-identical
 across runs for a fixed command line and seed. A cell that one of the
 numerical errors in ``_FAILED`` fails writes one row: its own columns, nan
 in every other and the error's status. Any other error (a bad input, a
-missing output directory, a failed write) exits 2 with no CSV written. The
-exit code is 0 only if every row carries status ``ok``.
+missing output directory, a failed write) exits 2 with no CSV written: a
+write that fails part way removes the file it began. A ``--config`` file
+sets each key on one line only; ``dt-grid`` and ``dt_grid`` are one key,
+and a key set on two lines is an error. The exit code is 0 only if every
+row carries status ``ok``.
 """
 
 from __future__ import annotations
@@ -101,8 +104,13 @@ def write_csv(path: str, command: str, config: Dict, columns: Sequence[str],
               rows: Iterable[Sequence[str]]) -> None:
     lines = [f"# collideq {command}", *(f"# {key}={config[key]}" for key in sorted(config)),
              ",".join(columns), *map(",".join, rows)]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fh = open(path, "w", newline="\n")
+    try:
+        with fh:
+            fh.write("\n".join(lines) + "\n")
+    except BaseException:  # a partial CSV would pass for a whole one
+        os.remove(path)
+        raise
 
 
 def _parse_grid(text: str) -> Tuple[float, float, int]:
@@ -115,16 +123,20 @@ def _parse_grid(text: str) -> Tuple[float, float, int]:
 
 
 def read_config_file(path: str) -> Dict[str, str]:
-    out = {}
+    out, line_of = {}, {}
     with open(path) as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"config line without '=': {raw.rstrip()}")
             key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in out:
+                raise ValueError(f"config key {key} is set twice in {path}: "
+                                 f"line {line_of[key]} and line {number}")
+            out[key], line_of[key] = value.strip(), number
     return out
 
 
@@ -166,7 +178,9 @@ def _steady_rows(res: Resolved, cell: _Cell) -> Dict:
     out = {}  # only what the command prints
     if "delta_beta" in columns:
         est = effective_temperature(partial_trace(rho_star, ["S"]), cfg.omega)
-        out.update(g_e=est.g_e, beta_e=est.beta_e, delta_beta=est.beta_e - cfg.beta)
+        # beta_e == beta == inf is the beta = inf Gibbs state, whose inf - inf is nan
+        delta_beta = 0.0 if est.beta_e == cfg.beta else est.beta_e - cfg.beta
+        out.update(g_e=est.g_e, beta_e=est.beta_e, delta_beta=delta_beta)
     if "heat_flux" in columns:
         out["heat_flux"] = steady_heat_flux_from_state(cfg, rho_star, bath=0)
     if "n3" in columns and cfg.setting == "I":

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import math
 import os
 import re
@@ -281,15 +282,26 @@ class TestNoSilentNan:
     def test_every_command_has_a_run(self):
         assert set(OK_RUNS) == set(cli._COMMANDS)
 
-    @pytest.mark.parametrize("command", OK_RUNS)
-    def test_ok_rows_fill_every_column(self, tmp_path, command):
-        # a record key that misses its column would print nan beside status ok
+    @staticmethod
+    def ok_rows(tmp_path, args):
         out = tmp_path / "o.csv"
-        assert run_cli([command, *OK_RUNS[command], "--out", str(out)]) == 0
+        assert run_cli([*args, "--out", str(out)]) == 0
         _, columns, rows = read_rows(out)
         for row in rows:
             allowed = SETTING_I_NAN & set(columns) if row.get("setting") == "I" else set()
             assert {c for c, v in row.items() if v == "nan"} == allowed
+        return rows
+
+    @pytest.mark.parametrize("command", OK_RUNS)
+    def test_ok_rows_fill_every_column(self, tmp_path, command):
+        # a record key that misses its column would print nan beside status ok
+        self.ok_rows(tmp_path, [command, *OK_RUNS[command]])
+
+    @pytest.mark.parametrize("command", ["steady-state", "sweep"])
+    def test_beta_inf_rows_fill_every_column(self, tmp_path, command):
+        # beta_e = beta = inf: the beta = inf Gibbs state, whose fidelity to itself is 1
+        rows = self.ok_rows(tmp_path, [command, "--beta", "inf", "--dt", "0.1", "--delta", "0.5"])
+        assert {r["delta_beta"] for r in rows} == {"0"}
 
 
 class TestDeterminism:
@@ -385,6 +397,26 @@ class TestEcho:
         assert re.search(r"^error: .*Is a directory", capsys.readouterr().err, re.M)
         assert list(out.iterdir()) == []
 
+    def test_write_failing_part_way_leaves_no_csv(self, tmp_path, capsys, monkeypatch):
+        # the disk fills after the first 10 characters reach the file
+        def full_disk(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+
+            def write(text):
+                fh.buffer.write(text[:10].encode())
+                fh.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(cli, "open", full_disk, raising=False)
+        out = tmp_path / "o.csv"
+        code = run_cli(["heat", "--setting", "II", "--dt", "0.1", "--out", str(out)])
+        assert code == 2
+        assert re.search(r"^error: .*No space left on device", capsys.readouterr().err, re.M)
+        assert not out.exists()
+
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
         # exit 1 means "some rows flagged"; a run that cannot allocate is an error
         def evolve(cfg, rho0, n_steps):
@@ -465,6 +497,20 @@ class TestConfigPrecedence:
                  "--setting", "II", "--dt", "0.1", "--out", str(out)])
         _, _, rows = read_rows(out)
         assert all(r["beta"] == "3" for r in rows)
+
+    @pytest.mark.parametrize("text, key", [
+        ("beta = 1\nbeta = 2\n", "beta"),
+        ("dt-grid = 0.1:0.2:2\n\ndt_grid = 0.3:0.4:2\n", "dt_grid")], ids=["beta", "dt_grid"])
+    def test_repeated_config_key_rejected(self, tmp_path, capsys, text, key):
+        conf = tmp_path / "twice.conf"
+        conf.write_text(text)
+        out = tmp_path / "o.csv"
+        code = run_cli(["heat", "--config", str(conf), "--setting", "II", "--out", str(out)])
+        assert code == 2
+        last = len(text.splitlines())
+        assert (f"config key {key} is set twice in {conf}: line 1 and line {last}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         conf = tmp_path / "typo.conf"
